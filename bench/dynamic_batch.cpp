@@ -1,20 +1,16 @@
 /// Batched dynamic update throughput + determinism check.
 ///
-/// DynamicMatcher::apply_batch cuts each batch into conflict-free prefixes
-/// and applies graph mutations, decision evaluation, and bit-matrix oracle
-/// maintenance concurrently, with serial in-order commits — bit-identical to
-/// the sequential apply loop at any thread count (the batch determinism
-/// contract in src/dynamic/dynamic_matcher.hpp). This bench measures
-/// updates/sec of the batched path against the one-at-a-time loop and
+/// DynamicMatcher::apply_batch validates a whole batch, then applies it one
+/// update at a time — the sequential apply loop behind one call (the
+/// determinism contract in src/dynamic/replay_core.hpp). This bench measures
+/// updates/sec of the batched entry point against the one-at-a-time loop,
+/// where `threads` only drives the Theorem 6.2 rebuild's fan-out, and
 /// verifies the identity:
 ///
-///  * a large update-path run (rebuilds pushed out of the measurement) where
-///    the batch engine's parallel fan-out is the whole story;
+///  * a large update-path run (rebuilds pushed out of the measurement), where
+///    the batched rows show the per-batch overhead and nothing else;
 ///  * a small adaptive-rebuild run where rebuild positions, rebuild counts,
 ///    and A_weak call counts must line up exactly as well.
-///
-/// Expect the batched path to pull ahead of sequential on real cores as
-/// threads grow; on a single-core host it only shows the engine's overhead.
 
 #include <cstdio>
 #include <thread>
@@ -130,9 +126,9 @@ int main(int argc, char** argv) {
   }
 
   {
-    // Phase-rotating churn on a fixed rebuild cadence: every regime of the
-    // replay core in one stream, with rebuilds firing inside light prefixes
-    // and between heavy runs throughout.
+    // Phase-rotating churn on a fixed rebuild cadence: insert bursts,
+    // matched-edge teardowns, deletion-heavy mixes and eviction sweeps in one
+    // stream, with rebuilds firing inside batches throughout.
     const Vertex n = args.quick ? 200 : 300;
     Rng rng(13);
     const auto updates = dyn_mixed_churn(n, args.quick ? 3000 : 6000, rng);

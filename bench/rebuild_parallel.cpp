@@ -1,7 +1,7 @@
 /// Parallel Theorem 6.2 rebuild engine: wall clock + bit-identity at 1/2/8
 /// threads.
 ///
-/// Three workloads cover the three layers this engine parallelizes:
+/// Three workloads:
 ///
 ///  * `static_boost` — one boost_matching run (FrameworkDriver H'/H'_s
 ///    discovery fans out per structure); rebuild_ms is the boost wall time.
@@ -9,7 +9,7 @@
 ///    rebuild schedule: rebuild-dominated dynamic stream, so the parallel
 ///    rebuild is nearly the whole wall clock.
 ///  * `deletion_teardown` — planted pairs torn down by consecutive matched
-///    deletions: exercises the reservation rematch on long heavy runs.
+///    deletions: exercises matched-edge repair on long deletion runs.
 ///
 /// Every cell is checked bit-identical against the sequential reference; any
 /// divergence prints NO and the process exits non-zero (the bench-smoke CI

@@ -1,7 +1,6 @@
 #include "dynamic/dynamic_matcher.hpp"
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bmf {
 
@@ -14,8 +13,7 @@ DynamicMatcher::DynamicMatcher(Vertex n, WeakOracle& oracle,
 
 Problem1Instance::Problem1Instance(Vertex n, WeakOracle& oracle, std::int64_t q,
                                    double lambda, double delta, double alpha)
-    : g_(n),
-      oracle_(oracle),
+    : store_(n, oracle),
       q_(q),
       delta_(delta),
       chunk_size_(std::max<std::int64_t>(
@@ -27,20 +25,22 @@ Problem1Instance::Problem1Instance(Vertex n, WeakOracle& oracle, std::int64_t q,
               "Problem1Instance: oracle lambda too weak for this instance");
 }
 
-void Problem1Instance::apply_chunk(std::span<const EdgeUpdate> chunk, int threads) {
+void Problem1Instance::apply_chunk(std::span<const EdgeUpdate> chunk) {
   BMF_REQUIRE(static_cast<std::int64_t>(chunk.size()) == chunk_size_,
               "Problem1Instance: chunk must contain exactly alpha*n updates");
-  const int t = ThreadPool::resolve_threads(threads);
-  const std::vector<std::uint8_t> flags = g_.resolve_structural(chunk, t);
-  g_.apply_structural(chunk, flags, t);
-  oracle_.on_batch(chunk, flags, t);
+  for (const EdgeUpdate& up : chunk)
+    BMF_REQUIRE(valid_update(up, store_.num_vertices()),
+                "Problem1Instance: invalid edge update");
+  // toggle feeds the oracle only when the update changed edge presence.
+  for (const EdgeUpdate& up : chunk)
+    if (!up.empty()) store_.toggle(up);
   queries_left_ = q_;
 }
 
 WeakQueryResult Problem1Instance::query(std::span<const Vertex> s) {
   BMF_REQUIRE(queries_left_ > 0, "Problem1Instance: query budget exhausted");
   --queries_left_;
-  return oracle_.query(s, delta_);
+  return store_.oracle().query(s, delta_);
 }
 
 }  // namespace bmf

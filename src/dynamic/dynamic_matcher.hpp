@@ -16,23 +16,21 @@
 ///    so a Theorem 6.2 rebuild is triggered on that schedule — O(1/eps)
 ///    rebuilds per Theta(n) updates, each costing poly(1/eps) A_weak calls.
 ///
-/// DynamicMatcher is a thin facade: all decision machinery — conflict-free
-/// prefix cutting, rebuild-budget replay, and the heavy deletion-run
-/// reservation rematch — lives in `DynamicReplayCore`
-/// (src/dynamic/replay_core.hpp), instantiated
+/// DynamicMatcher is a thin facade: all decision machinery — the
+/// maximal-matching repair, the rebuild-budget replay, and rebuild arming —
+/// lives in `DynamicReplayCore` (src/dynamic/replay_core.hpp), instantiated
 /// here over the flat single-node `FlatAdjacencyStore` (a `DynGraph` plus the
 /// borrowed `WeakOracle`). The sharded vertex-partition engine
 /// (sharded_matcher.hpp) instantiates the same core over its shard slices, so
 /// the bit-identity-critical replay logic has exactly one home. See
-/// replay_core.hpp for the batch determinism contract; it is pinned by the
+/// replay_core.hpp for the determinism contract; it is pinned by the
 /// cross-engine differential harness in tests/test_replay_core.cpp and the
 /// suites in tests/test_dynamic_batch.cpp.
 ///
 /// Problem1Instance exposes the chunk/query interface verbatim for tests and
 /// for composing with other A_weak implementations (e.g. the OMv-backed one);
-/// its `apply_chunk` resolves a chunk's structural subset and applies it with
-/// per-vertex parallel replay (chunks carry no matching repair, so whole
-/// chunks parallelize without prefix cuts).
+/// its `apply_chunk` validates a whole chunk, then applies it one update at
+/// a time.
 
 #include <cstdint>
 
@@ -48,7 +46,7 @@ namespace bmf {
 /// facade derives from the same struct, so the engines cannot drift.
 struct DynamicMatcherConfig : DynamicCoreConfig {};
 
-/// The whole `ReplayEngine` surface — apply/apply_batch (batch determinism
+/// The whole `ReplayEngine` surface — apply/apply_batch (determinism
 /// contract in replay_core.hpp), matching/snapshot/export_snapshot, and the
 /// counters incl. rebuild_positions()/rebuild_stats()/comm_stats() (the flat
 /// store is single-participant, so its comm ledger is always all-zero) — is
@@ -83,21 +81,20 @@ class Problem1Instance {
                    double delta, double alpha);
 
   /// Applies one chunk (must contain exactly chunk_size() updates, empty
-  /// updates allowed) and re-arms the query budget. The chunk's structural
-  /// subset is resolved and applied batch-parallel on `threads`; the final
-  /// graph and oracle state equal the one-at-a-time replay at any setting.
-  void apply_chunk(std::span<const EdgeUpdate> chunk, int threads = 1);
+  /// updates allowed) one update at a time and re-arms the query budget. The
+  /// size and every update are checked before the first mutation, so an
+  /// invalid chunk throws std::invalid_argument and changes nothing.
+  void apply_chunk(std::span<const EdgeUpdate> chunk);
 
   /// One adaptive query; throws if the per-chunk budget q is exhausted.
   [[nodiscard]] WeakQueryResult query(std::span<const Vertex> s);
 
   [[nodiscard]] std::int64_t chunk_size() const { return chunk_size_; }
   [[nodiscard]] std::int64_t queries_left() const { return queries_left_; }
-  [[nodiscard]] const DynGraph& graph() const { return g_; }
+  [[nodiscard]] const DynGraph& graph() const { return store_.graph(); }
 
  private:
-  DynGraph g_;
-  WeakOracle& oracle_;
+  FlatAdjacencyStore store_;  ///< the graph plus the borrowed oracle
   std::int64_t q_;
   double delta_;
   std::int64_t chunk_size_;

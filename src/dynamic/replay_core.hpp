@@ -2,15 +2,14 @@
 
 /// The unified dynamic replay core (Theorem 7.1's update loop, one home).
 ///
-/// PR 2-4 grew two bit-identity-critical copies of the same decision
-/// machinery: `DynamicMatcher` (flat single-node `DynGraph` adjacency) and
-/// `ShardedDynamicMatcher` (vertex-partitioned shard slices) each carried
-/// their own rebuild-budget replay, conflict-free prefix cutting, heavy
-/// deletion-run reservation rematch, and rebuild arming. Following the
-/// batch-dynamic literature's separation of update-commit discipline from
-/// storage layout (Ghaffari & Trygub 2024; Robinson & Zhu 2025),
-/// `DynamicReplayCore<Store>` is that discipline extracted once, templated
-/// over an **AdjacencyStore policy** that owns the storage layout:
+/// Both dynamic engines — `DynamicMatcher` (flat single-node `DynGraph`
+/// adjacency) and `ShardedDynamicMatcher` (vertex-partitioned shard slices) —
+/// run the same update discipline: the maximal-matching repair, the
+/// rebuild-budget replay, and rebuild arming. Following the batch-dynamic
+/// literature's separation of update-commit discipline from storage layout
+/// (Ghaffari & Trygub 2024; Robinson & Zhu 2025), `DynamicReplayCore<Store>`
+/// is that discipline written once, templated over an **AdjacencyStore
+/// policy** that owns the storage layout:
 ///
 ///  * `FlatAdjacencyStore` (below) — a `DynGraph` plus an external
 ///    `WeakOracle`; the single-node engine.
@@ -29,9 +28,6 @@
 ///   WeakOracle& oracle();
 ///   bool toggle(const EdgeUpdate&);   // adjacency + oracle; true iff the
 ///                                     // update changed edge presence
-///   // Batched application of a structural subset with pairwise-disjoint
-///   // endpoints (flags[i] != 0 selects), adjacency and oracle together:
-///   void apply_structural(updates, flags, threads);
 ///   // Rebuild participation (core/framework.hpp): the policy object the
 ///   // Theorem 6.2 boost's H'/H'_s exhaustion sweeps fan out through —
 ///   // shard-local candidate sweeps merged by the coordinator in canonical
@@ -41,36 +37,22 @@
 ///   // policy instead of reaching around it into FrameworkDriver):
 ///   RebuildParticipation& rebuild_participation();
 ///   // Coordinator message ledger (CommStats below), folded across the
-///   // store's state slices (participation + oracle + batch routing);
+///   // store's state slices (participation + oracle + update routing);
 ///   // all-zero for single-participant layouts:
 ///   CommStats comm_stats() const;
 ///
 /// Stores only ever see updates the core has already checked with
 /// `valid_update`, and `toggle` never sees an empty one. Everything else —
-/// matching, counters, scratch marks, budget replay, the batch-engine choice
-/// (real threads or more than one rebuild participant), and every decision
-/// sequence — lives here, so the two engines cannot drift:
+/// matching, counters, budget replay, and every decision sequence — lives
+/// here, so the two engines cannot drift:
 /// the determinism contract (bit-identical matchings, graph, rebuild
 /// *positions*, and A_weak call counts versus the sequential `apply` loop at
 /// any threads / shards / batch-size setting) is one implementation pinned by
 /// one differential harness (tests/test_replay_core.cpp).
 ///
-/// ## Batched updates (the batch determinism contract)
-///
-/// `apply_batch` cuts the batch into maximal *conflict-free prefixes* (runs
-/// of updates with pairwise-disjoint endpoints, none deleting a currently
-/// matched edge), evaluates per-update decisions concurrently against the
-/// pre-prefix state, replays the rebuild budget serially to truncate the
-/// prefix at the exact sequential trigger position, applies structural
-/// mutations batch-parallel, and commits matching changes serially in update
-/// order. Heavy deletion runs (consecutive matched-edge deletions with
-/// disjoint endpoints) take the parallel reservation rematch: a worst-case
-/// budget replay bounds the run so no rebuild can fire inside it, each freed
-/// endpoint concurrently reserves its ascending possibly-free candidate
-/// list, and a serial in-order commit takes the first still-free candidate —
-/// exactly the sequential minimum-free-neighbor repair. When a prefix arms
-/// a Theorem 6.2 rebuild, the rebuild runs right there on the caller, exactly
-/// where the sequential loop runs it.
+/// `apply_batch` validates the whole batch up front and then runs the
+/// sequential step once per update, so a batch is the `apply` loop by
+/// construction at every store, shard count and thread count.
 
 #include <algorithm>
 #include <cmath>
@@ -86,7 +68,6 @@
 #include "matching/matching.hpp"
 #include "matching/matching_view.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bmf {
 
@@ -99,9 +80,10 @@ struct DynamicCoreConfig {
   /// Updates between rebuilds; 0 = adaptive max(1, floor(eps*|M|/4)).
   std::int64_t rebuild_every = 0;
   std::uint64_t seed = 1;
-  /// Thread-pool fan-out for `apply_batch` and for the Theorem 6.2 rebuild's
-  /// internal H'/H'_s discovery (forced into `sim.core.threads`; 0 = hardware
-  /// concurrency, 1 = serial). Results are bit-identical at any setting.
+  /// Thread-pool fan-out for the Theorem 6.2 rebuild's internal H'/H'_s
+  /// discovery (forced into `sim.core.threads`) and for the sharded oracle's
+  /// speculative probes; 0 = hardware concurrency, 1 = serial. Updates are
+  /// always applied one at a time. Results are bit-identical at any setting.
   int threads = 0;
 };
 
@@ -124,21 +106,22 @@ void validate_core_config(const DynamicCoreConfig& cfg, int shards, const char* 
 }
 
 /// Coordinator message ledger: bytes and rounds crossing the shard boundary,
-/// split between the batch path (routing update ops to shard slices) and the
-/// rebuild path (snapshot distribution, discovery-sweep candidate gathers,
-/// oracle probe gathers). Stores with a single participant report all zeros —
-/// the flat engine and a sharded engine at shards = 1 both have no boundary
-/// to cross. The ledger counts the messages the store actually models; serial
-/// coordinator reads inside a rebuild (in-structure sweeps, local
-/// contractions) are deliberately not charged — the exact-cost accounting
-/// caveat (docs/replay_core.md). Counters are monotone over a run and
-/// deterministic for a fixed stream x config x shards x batch-size cell,
-/// and equal at every thread count: no decision of the batch engine depends
-/// on it. They are *not* equal across batch sizes (routing rounds follow the
-/// prefix cuts) or across shard counts (shards = 1 charges nothing).
+/// split between the update path (routing each toggled update's directed
+/// copies to their shard slices) and the rebuild path (snapshot
+/// distribution, discovery-sweep candidate gathers, oracle probe gathers).
+/// Stores with a single participant report all zeros — the flat engine and a
+/// sharded engine at shards = 1 both have no boundary to cross. The ledger
+/// counts the messages the store actually models; serial coordinator reads
+/// inside a rebuild (in-structure sweeps, local contractions) are
+/// deliberately not charged — the exact-cost accounting caveat
+/// (docs/replay_core.md). Counters are monotone over a run, deterministic for
+/// a fixed stream x config x shards cell, and equal at every thread count and
+/// every batch size: the update path charges per toggled update, whatever
+/// batch it arrives in. They are *not* equal across shard counts (shards = 1
+/// charges nothing).
 struct CommStats {
   std::int64_t batch_bytes = 0;    ///< update ops routed to shard slices
-  std::int64_t batch_rounds = 0;   ///< routing rounds (one per batched flush)
+  std::int64_t batch_rounds = 0;   ///< routing rounds (one per toggled update)
   std::int64_t rebuild_bytes = 0;  ///< snapshot + gathers during rebuilds
   std::int64_t rebuild_rounds = 0;
   [[nodiscard]] std::int64_t coord_bytes() const {
@@ -201,13 +184,6 @@ concept HasToggle = requires(S& s, const EdgeUpdate& up) {
 };
 
 template <class S>
-concept HasApplyStructural =
-    requires(S& s, std::span<const EdgeUpdate> ups,
-             std::span<const std::uint8_t> flags, int threads) {
-      s.apply_structural(ups, flags, threads);
-    };
-
-template <class S>
 concept HasRebuildParticipation = requires(S& s) {
   { s.rebuild_participation() } -> std::convertible_to<RebuildParticipation&>;
 };
@@ -230,12 +206,12 @@ concept AdjacencyStorePolicy =
     store_contract::HasNumVertices<S> && store_contract::HasHasEdge<S> &&
     store_contract::HasNeighbors<S> && store_contract::HasSnapshot<S> &&
     store_contract::HasOracle<S> && store_contract::HasToggle<S> &&
-    store_contract::HasApplyStructural<S> &&
     store_contract::HasRebuildParticipation<S> && store_contract::HasCommStats<S>;
 
 /// The flat single-node AdjacencyStore policy: a `DynGraph` plus a borrowed
 /// `WeakOracle`. `DynamicMatcher` is a facade over
-/// `DynamicReplayCore<FlatAdjacencyStore>`.
+/// `DynamicReplayCore<FlatAdjacencyStore>`; `Problem1Instance` applies its
+/// chunks through `toggle`.
 class FlatAdjacencyStore {
  public:
   FlatAdjacencyStore(Vertex n, WeakOracle& oracle) : g_(n), oracle_(oracle) {}
@@ -257,12 +233,6 @@ class FlatAdjacencyStore {
       oracle_.on_erase(up.u, up.v);
     }
     return true;
-  }
-
-  void apply_structural(std::span<const EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads) {
-    g_.apply_structural_disjoint(updates, structural, threads);
-    oracle_.on_batch(updates, structural, threads);
   }
 
   /// The trivial single-participant policy: every rebuild sweep scans the
@@ -307,9 +277,6 @@ class DynamicReplayCore {
   static_assert(store_contract::HasToggle<Store>,
                 "AdjacencyStore contract: missing "
                 "'bool toggle(const EdgeUpdate&)'");
-  static_assert(store_contract::HasApplyStructural<Store>,
-                "AdjacencyStore contract: missing "
-                "'void apply_structural(updates, flags, threads)'");
   static_assert(store_contract::HasRebuildParticipation<Store>,
                 "AdjacencyStore contract: missing "
                 "'RebuildParticipation& rebuild_participation()'");
@@ -322,10 +289,7 @@ class DynamicReplayCore {
  public:
   /// `cfg` must already be resolved (resolve_core_config) and validated.
   DynamicReplayCore(Store& store, const DynamicCoreConfig& cfg)
-      : store_(store),
-        cfg_(cfg),
-        m_(store.num_vertices()),
-        mark_(static_cast<std::size_t>(store.num_vertices()), 0) {}
+      : store_(store), cfg_(cfg), m_(store.num_vertices()) {}
 
   /// Throws std::invalid_argument on an invalid update before any counter
   /// or state moves.
@@ -334,38 +298,11 @@ class DynamicReplayCore {
     apply_valid(update);
   }
 
-  /// The whole batch is validated before the first mutation.
+  /// The whole batch is validated before the first mutation; then each
+  /// update takes the sequential step, in order.
   void apply_batch(std::span<const EdgeUpdate> batch) {
     for (const EdgeUpdate& up : batch) require_valid(up);
-    const int threads = ThreadPool::resolve_threads(cfg_.threads);
-    if (threads <= 1 && store_.rebuild_participation().participants() <= 1) {
-      // The batch engine only buys anything with real concurrency (or real
-      // shards); the serial loop is the reference semantics.
-      for (const EdgeUpdate& up : batch) apply_valid(up);
-      return;
-    }
-    std::size_t i = 0;
-    while (i < batch.size()) {
-      if (is_heavy(batch[i])) {
-        const std::size_t run = heavy_run_length(batch.subspan(i));
-        if (run >= 2) {
-          i += apply_heavy_run(batch.subspan(i, run), threads);
-        } else {
-          // An isolated heavy deletion: the reservation machinery buys
-          // nothing.
-          apply_valid(batch[i]);
-          ++i;
-        }
-        continue;
-      }
-      const std::size_t len = light_prefix_length(batch.subspan(i));
-      const PrefixOutcome got = apply_light_prefix(batch.subspan(i, len), threads);
-      i += got.consumed;
-      if (got.fired) {
-        arm_rebuild();
-        rebuild();
-      }
-    }
+    for (const EdgeUpdate& up : batch) apply_valid(up);
   }
 
   [[nodiscard]] const Matching& matching() const { return m_; }
@@ -395,11 +332,6 @@ class DynamicReplayCore {
   }
 
  private:
-  struct PrefixOutcome {
-    std::size_t consumed = 0;
-    bool fired = false;  ///< a rebuild is armed at the truncation point
-  };
-
   void require_valid(const EdgeUpdate& up) const {
     BMF_REQUIRE(valid_update(up, store_.num_vertices()),
                 "DynamicReplayCore: invalid edge update");
@@ -436,9 +368,7 @@ class DynamicReplayCore {
     }
   }
 
-  /// Updates allowed between rebuilds at matching size `sz` — the one
-  /// formula behind both maybe_rebuild() and the batched budget replays (the
-  /// bit-identical contract depends on them agreeing).
+  /// Updates allowed between rebuilds at matching size `sz`.
   [[nodiscard]] std::int64_t rebuild_budget(std::int64_t sz) const {
     if (cfg_.rebuild_every > 0) return cfg_.rebuild_every;
     return std::max<std::int64_t>(
@@ -446,15 +376,11 @@ class DynamicReplayCore {
                std::floor(cfg_.eps * static_cast<double>(sz) / 4.0)));
   }
 
-  void arm_rebuild() {
+  void maybe_rebuild() {
+    if (since_rebuild_ < rebuild_budget(m_.size())) return;
     since_rebuild_ = 0;
     ++rebuilds_;
     rebuild_positions_.push_back(updates_);
-  }
-
-  void maybe_rebuild() {
-    if (since_rebuild_ < rebuild_budget(m_.size())) return;
-    arm_rebuild();
     rebuild();
   }
 
@@ -469,194 +395,6 @@ class DynamicReplayCore {
     m_ = std::move(boosted.matching);
   }
 
-  /// True for a structural deletion of a currently matched edge — the one
-  /// update kind whose repair reads beyond its own endpoints.
-  [[nodiscard]] bool is_heavy(const EdgeUpdate& up) const {
-    // m_ only ever holds live edges, so a matched pair implies edge presence.
-    return !up.empty() && !up.insert && m_.has(up.u, up.v);
-  }
-
-  /// Length of the maximal conflict-free prefix of `rest` (>= 1 unless
-  /// empty).
-  [[nodiscard]] std::size_t light_prefix_length(std::span<const EdgeUpdate> rest) {
-    ++epoch_;
-    std::size_t j = 0;
-    for (; j < rest.size(); ++j) {
-      const EdgeUpdate& c = rest[j];
-      if (c.empty()) continue;
-      auto& mu = mark_[static_cast<std::size_t>(c.u)];
-      auto& mv = mark_[static_cast<std::size_t>(c.v)];
-      if (mu == epoch_ || mv == epoch_) break;
-      // A matched-edge deletion ends the prefix: its repair reads neighbors'
-      // mates, which concurrent prefix members may be writing. The mate test
-      // is exact here because earlier prefix members cannot touch c's
-      // endpoints.
-      if (is_heavy(c)) break;
-      mu = epoch_;
-      mv = epoch_;
-    }
-    return j;
-  }
-
-  /// Length of the maximal run of consecutive heavy deletions of `rest` with
-  /// pairwise-disjoint endpoints (rest[0] must be heavy); records each
-  /// endpoint's deletion index in `heavy_index_` under the current epoch.
-  [[nodiscard]] std::size_t heavy_run_length(std::span<const EdgeUpdate> rest) {
-    if (heavy_index_.empty()) heavy_index_.assign(mark_.size(), 0);
-    ++epoch_;
-    std::size_t j = 0;
-    for (; j < rest.size(); ++j) {
-      const EdgeUpdate& c = rest[j];
-      if (c.empty() || c.insert) break;
-      auto& mu = mark_[static_cast<std::size_t>(c.u)];
-      auto& mv = mark_[static_cast<std::size_t>(c.v)];
-      if (mu == epoch_ || mv == epoch_) break;
-      // Disjointness keeps m_ exact at c's endpoints, so this test equals the
-      // sequential at-time heaviness; a light deletion ends the run.
-      if (!m_.has(c.u, c.v)) break;
-      mu = epoch_;
-      mv = epoch_;
-      heavy_index_[static_cast<std::size_t>(c.u)] = static_cast<std::int32_t>(j);
-      heavy_index_[static_cast<std::size_t>(c.v)] = static_cast<std::int32_t>(j);
-    }
-    return j;
-  }
-
-  /// Parallel reservation rematch over a heavy run (see the file comment);
-  /// returns how many deletions were consumed (the run is truncated to the
-  /// worst-case rebuild-free bound; 0 forces one serial `apply`).
-  std::size_t apply_heavy_run(std::span<const EdgeUpdate> run, int threads) {
-    // Worst-case budget replay: |M| drops by at most one per deletion and
-    // rebuild_budget is nondecreasing in |M|, so while
-    // since_rebuild_ + i < rebuild_budget(|M| - i) no rebuild can fire at
-    // update i for ANY rematch outcome — exactly where the sequential loop
-    // cannot fire either. Truncate the run to that provably rebuild-free
-    // bound.
-    const std::int64_t sz0 = m_.size();
-    std::int64_t safe = 0;
-    while (safe < static_cast<std::int64_t>(run.size()) &&
-           since_rebuild_ + safe + 1 < rebuild_budget(sz0 - (safe + 1)))
-      ++safe;
-    if (safe == 0) {
-      // The very next deletion may fire a rebuild; take the serial path.
-      apply_valid(run[0]);
-      return 1;
-    }
-    run = run.first(static_cast<std::size_t>(safe));
-
-    // Every run member deletes a currently matched (hence present) edge, so
-    // the whole run is structural: delete batch-parallel, maintain the
-    // oracle.
-    structural_.assign(run.size(), 1);
-    const std::span<const std::uint8_t> flags(structural_.data(), run.size());
-    store_.apply_structural(run, flags, threads);
-
-    // Reservation scan (parallel, read-only): endpoint 2i / 2i+1 collects the
-    // ascending list of neighbors that can possibly be free at its commit
-    // turn — free before the run, or freed by an earlier deletion of the run.
-    // Deleting the run's matched edges does not change any other endpoint's
-    // adjacency (endpoints are disjoint), so the post-deletion neighbor scan
-    // equals the sequential at-time scan.
-    std::vector<std::vector<Vertex>> cand(2 * run.size());
-    // Short runs scan inline; the pool round-trip would dominate.
-    const int scan_threads =
-        gated_threads(static_cast<std::int64_t>(run.size()), 8, threads);
-    parallel_for_threads(
-        scan_threads, static_cast<std::int64_t>(2 * run.size()),
-        [&](std::int64_t k) {
-          const auto i = static_cast<std::size_t>(k / 2);
-          const Vertex x = (k % 2 == 0) ? run[i].u : run[i].v;
-          auto& out = cand[static_cast<std::size_t>(k)];
-          for (Vertex nb : store_.neighbors(x)) {
-            const auto nbi = static_cast<std::size_t>(nb);
-            if (m_.is_free(nb) ||
-                (mark_[nbi] == epoch_ &&
-                 heavy_index_[nbi] < static_cast<std::int32_t>(i)))
-              out.push_back(nb);
-          }
-        });
-
-    // Serial commit in update order: unmatch the pair, then rematch each
-    // freed endpoint with its first still-free reserved neighbor — the
-    // sequential minimum-free-neighbor repair, endpoint for endpoint.
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      m_.remove_at(run[i].u);
-      for (const std::size_t k : {2 * i, 2 * i + 1}) {
-        const Vertex x = (k % 2 == 0) ? run[i].u : run[i].v;
-        if (!m_.is_free(x)) continue;
-        for (Vertex nb : cand[k]) {
-          if (m_.is_free(nb)) {
-            m_.add(x, nb);
-            break;
-          }
-        }
-      }
-      ++updates_;
-      ++since_rebuild_;
-    }
-    BMF_ASSERT(since_rebuild_ < rebuild_budget(m_.size()));
-    return run.size();
-  }
-
-  /// Processes a conflict-free prefix; reports how many updates were
-  /// consumed (the prefix is truncated at the first rebuild trigger) and
-  /// whether the caller must now arm a rebuild.
-  PrefixOutcome apply_light_prefix(std::span<const EdgeUpdate> prefix,
-                                   int threads) {
-    const auto len = static_cast<std::int64_t>(prefix.size());
-    structural_.assign(prefix.size(), 0);
-    match_.assign(prefix.size(), 0);
-
-    // Decisions read only the update's own endpoints (untouched by the rest
-    // of the prefix), so concurrent evaluation against the pre-prefix state
-    // equals the sequential decisions exactly. Short prefixes evaluate
-    // inline.
-    const int decision_threads = gated_threads(len, 32, threads);
-    parallel_for_threads(decision_threads, len, [&](std::int64_t i) {
-      const auto k = static_cast<std::size_t>(i);
-      const EdgeUpdate& up = prefix[k];
-      if (up.empty()) return;
-      if (up.insert) {
-        if (!store_.has_edge(up.u, up.v)) {
-          structural_[k] = 1;
-          if (m_.is_free(up.u) && m_.is_free(up.v)) match_[k] = 1;
-        }
-      } else {
-        // Matched deletions never enter a prefix, so a structural deletion
-        // here is of an unmatched edge and needs no repair.
-        if (store_.has_edge(up.u, up.v)) structural_[k] = 1;
-      }
-    });
-
-    // Replay the rebuild budget to find where maybe_rebuild() would fire in
-    // the sequential loop; truncate the prefix there (inclusive).
-    std::size_t cut = prefix.size();
-    bool fire = false;
-    {
-      std::int64_t sz = m_.size();
-      std::int64_t since = since_rebuild_;
-      for (std::size_t k = 0; k < prefix.size(); ++k) {
-        ++since;
-        if (match_[k]) ++sz;
-        if (since >= rebuild_budget(sz)) {
-          cut = k + 1;
-          fire = true;
-          break;
-        }
-      }
-    }
-
-    const auto committed = prefix.first(cut);
-    const auto flags = std::span<const std::uint8_t>(structural_).first(cut);
-    store_.apply_structural(committed, flags, threads);
-    for (std::size_t k = 0; k < cut; ++k) {
-      ++updates_;
-      ++since_rebuild_;
-      if (match_[k]) m_.add(prefix[k].u, prefix[k].v);
-    }
-    return {cut, fire};
-  }
-
   Store& store_;
   DynamicCoreConfig cfg_;
   Matching m_;
@@ -665,16 +403,6 @@ class DynamicReplayCore {
   std::int64_t rebuilds_ = 0;
   std::vector<std::int64_t> rebuild_positions_;
   RebuildStats rebuild_stats_;
-
-  // Reused apply_batch scratch: endpoint marks (epoch-stamped; 64-bit so the
-  // epoch cannot wrap within a process lifetime), per-update decision slots,
-  // and per-endpoint heavy-run deletion indices (valid where mark_ carries
-  // the current epoch).
-  std::vector<std::uint64_t> mark_;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint8_t> structural_;
-  std::vector<std::uint8_t> match_;
-  std::vector<std::int32_t> heavy_index_;
 };
 
 }  // namespace bmf

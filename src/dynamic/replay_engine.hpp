@@ -58,8 +58,8 @@ class ReplayEngine {
   virtual ~ReplayEngine() = default;
 
   virtual void apply(const EdgeUpdate& update) = 0;
-  /// Bit-identical to calling `apply` per element in order; conflict-free
-  /// prefixes run in parallel. The whole batch is validated before mutation.
+  /// Validates the whole batch before mutation, then calls `apply`'s
+  /// sequential step per element in order.
   virtual void apply_batch(std::span<const EdgeUpdate> batch) = 0;
 
   [[nodiscard]] virtual Vertex num_vertices() const = 0;
@@ -90,8 +90,8 @@ class ReplayEngine {
   [[nodiscard]] virtual const RebuildStats& rebuild_stats() const = 0;
   /// Coordinator message ledger (replay_core.hpp) — all-zero for
   /// single-participant stores; monotone, and equal at every thread count
-  /// for a fixed shards x batch-size cell, but NOT part of the cross-cell
-  /// bit-identity contract (it varies with shards and batch size).
+  /// and batch size for a fixed shard count, but NOT part of the cross-cell
+  /// bit-identity contract (it varies with shards).
   [[nodiscard]] virtual CommStats comm_stats() const = 0;
 
   void insert(Vertex u, Vertex v) { apply(EdgeUpdate::ins(u, v)); }

@@ -44,47 +44,6 @@ bool ShardedMatrixOracle::bit(Vertex u, Vertex v) const {
   return slices_[static_cast<std::size_t>(su)].get(u - part_.begin(su), v);
 }
 
-RoutedOps route_structural_ops(const VertexPartition& part,
-                               std::span<const EdgeUpdate> updates,
-                               std::span<const std::uint8_t> structural) {
-  BMF_REQUIRE(structural.size() == updates.size(),
-              "route_structural_ops: flag span size mismatch");
-  // Route both directed copies of every structural update to the shard that
-  // owns the row; appending while walking the batch in order leaves each
-  // shard's op list sorted by update index, so a per-shard serial replay is
-  // exactly the (shard-id, update-index)-ordered merge.
-  RoutedOps out;
-  out.per_shard.resize(static_cast<std::size_t>(part.shards()));
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    if (!structural[i]) continue;
-    const EdgeUpdate& up = updates[i];
-    out.edge_delta += up.insert ? 1 : -1;
-    out.per_shard[static_cast<std::size_t>(part.owner(up.u))].push_back(
-        {up.u, up.v, up.insert});
-    out.per_shard[static_cast<std::size_t>(part.owner(up.v))].push_back(
-        {up.v, up.u, up.insert});
-    out.total_ops += 2;
-  }
-  return out;
-}
-
-void ShardedMatrixOracle::on_batch(std::span<const EdgeUpdate> updates,
-                                   std::span<const std::uint8_t> structural,
-                                   int threads) {
-  apply_ops(route_structural_ops(part_, updates, structural), threads);
-}
-
-void ShardedMatrixOracle::apply_ops(const RoutedOps& ops, int threads) {
-  parallel_for_threads(
-      gated_threads(ops.total_ops, 32, threads),
-      static_cast<std::int64_t>(ops.per_shard.size()), [&](std::int64_t s) {
-        BitMatrix& slice = slices_[static_cast<std::size_t>(s)];
-        const Vertex base = part_.begin(static_cast<int>(s));
-        for (const ShardOp& op : ops.per_shard[static_cast<std::size_t>(s)])
-          slice.set(op.vertex - base, op.other, op.insert);
-      });
-}
-
 std::int64_t ShardedMatrixOracle::probe(Vertex u, const BitVec& mask,
                                         std::int64_t* words) const {
   const int s = part_.owner(u);
@@ -222,44 +181,16 @@ bool ShardedAdjacencyStore::toggle(const EdgeUpdate& up) {
     --m_edges_;
     oracle_.on_erase(up.u, up.v);
   }
-  // A serial toggle routes the update's two directed copies like a
-  // one-element batch would (no-ops that toggle nothing send nothing).
-  charge_route(2);
+  // The update's two directed copies travel to their row owners (no-ops
+  // that toggle nothing send nothing).
+  charge_route();
   return true;
 }
 
-void ShardedAdjacencyStore::charge_route(std::int64_t total_ops) {
-  if (part_.shards() <= 1 || total_ops == 0) return;
-  batch_bytes_ += total_ops * static_cast<std::int64_t>(sizeof(ShardOp));
+void ShardedAdjacencyStore::charge_route() {
+  if (part_.shards() <= 1) return;
+  batch_bytes_ += 2 * static_cast<std::int64_t>(sizeof(ShardOp));
   ++batch_rounds_;
-}
-
-void ShardedAdjacencyStore::apply_graph_ops(const RoutedOps& ops, int threads) {
-  // Each shard replays the directed copies it owns in update order; shards
-  // own disjoint row sets, so the concurrent replay is race-free and equals
-  // the serial one.
-  parallel_for_threads(
-      gated_threads(ops.total_ops, 32, threads),
-      static_cast<std::int64_t>(ops.per_shard.size()), [&](std::int64_t s) {
-        for (const ShardOp& op : ops.per_shard[static_cast<std::size_t>(s)]) {
-          if (op.insert)
-            link(op.vertex, op.other);
-          else
-            unlink(op.vertex, op.other);
-        }
-      });
-  m_edges_ += ops.edge_delta;
-}
-
-void ShardedAdjacencyStore::apply_structural(
-    std::span<const EdgeUpdate> updates, std::span<const std::uint8_t> structural,
-    int threads) {
-  // Route once; the op lists feed both the adjacency slices and the oracle
-  // row ranges.
-  const RoutedOps ops = route_structural_ops(part_, updates, structural);
-  charge_route(ops.total_ops);
-  apply_graph_ops(ops, threads);
-  oracle_.apply_ops(ops, threads);
 }
 
 // ----------------------------------------------------- ShardedDynamicMatcher

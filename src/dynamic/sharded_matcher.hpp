@@ -3,8 +3,7 @@
 /// Sharded vertex-partition dynamic matching engine.
 ///
 /// The distributed vertex-partition regime (Robinson & Zhu 2025 applied to
-/// Section 7 of the paper; batches as the unit of sharding following
-/// Ghaffari & Trygub 2024): the vertex set is partitioned into `k`
+/// Section 7 of the paper): the vertex set is partitioned into `k`
 /// contiguous shards, and each shard *owns* the per-vertex state of its
 /// range —
 ///
@@ -17,16 +16,14 @@
 /// The storage layout lives in `ShardedAdjacencyStore`, an AdjacencyStore
 /// policy for the shared `DynamicReplayCore` (replay_core.hpp):
 /// `ShardedDynamicMatcher` is a thin facade over
-/// `DynamicReplayCore<ShardedAdjacencyStore>`, so every decision — prefix
-/// cuts, the rebuild-budget replay, heavy-run reservation rematch, and
-/// rebuild arming — is literally the same implementation as
-/// `DynamicMatcher`'s. The store routes each batch's structural directed
-/// copies to their owning shards (the `Problem1Instance::apply_chunk`
-/// resolution discipline — chunks shard cleanly), shards apply local
-/// adjacency and bit-row mutations in parallel replaying their op lists in
-/// (shard-id, update-index) order, while **all matching commits run through
-/// the serial coordinator in update order** and the Theorem 6.2 rebuild
-/// budget is replayed globally:
+/// `DynamicReplayCore<ShardedAdjacencyStore>`, so every decision — the
+/// maximal-matching repair, the rebuild-budget replay, and rebuild arming —
+/// is literally the same implementation as `DynamicMatcher`'s. Each update
+/// that toggles an edge routes its two directed copies to their owning
+/// shards' adjacency slices and bit-matrix rows (one coordinator round in
+/// the comm ledger), while **all matching commits run through the serial
+/// coordinator in update order** and the Theorem 6.2 rebuild budget is
+/// replayed globally:
 ///
 ///   ShardedDynamicMatcher is **bit-identical to DynamicMatcher** —
 ///   matchings (mate by mate), graph, rebuild counts *and positions*, and
@@ -151,26 +148,13 @@ class ShardedRebuildParticipation final : public RebuildParticipation {
   std::int64_t rounds_ = 0;
 };
 
-/// One directed copy of a structural update, owned by the shard holding
-/// `vertex`'s row.
+/// One directed copy of a toggled update, owned by the shard holding
+/// `vertex`'s row: the message unit of the update-path comm ledger (each
+/// toggle routes two, one per endpoint).
 struct ShardOp {
   Vertex vertex, other;
   bool insert;
 };
-
-/// A batch's structural subset routed to its owning shards: per-shard
-/// directed op lists, each in update order (so a per-shard serial replay is
-/// the (shard-id, update-index)-ordered merge), plus the net edge delta.
-/// Routing once serves both the adjacency slices and the oracle row ranges.
-struct RoutedOps {
-  std::vector<std::vector<ShardOp>> per_shard;
-  std::int64_t edge_delta = 0;
-  std::int64_t total_ops = 0;
-};
-
-[[nodiscard]] RoutedOps route_structural_ops(
-    const VertexPartition& part, std::span<const EdgeUpdate> updates,
-    std::span<const std::uint8_t> structural);
 
 /// A_weak over shard-owned bit-matrix row ranges; answers bit-identical to
 /// MatrixWeakOracle (see the file comment for the speculative-probe scheme).
@@ -181,14 +165,6 @@ class ShardedMatrixOracle final : public WeakOracle {
   [[nodiscard]] double lambda() const override { return 0.5; }
   void on_insert(Vertex u, Vertex v) override;
   void on_erase(Vertex u, Vertex v) override;
-  /// Shard-parallel maintenance: each shard replays the directed copies it
-  /// owns serially in batch order; shards own disjoint row ranges, so the
-  /// final matrix state equals the serial replay at any thread count.
-  void on_batch(std::span<const EdgeUpdate> updates,
-                std::span<const std::uint8_t> structural, int threads) override;
-  /// on_batch on pre-routed ops (lets callers route a batch once and feed
-  /// both the graph slices and the oracle).
-  void apply_ops(const RoutedOps& ops, int threads);
 
   [[nodiscard]] Vertex num_vertices() const { return part_.num_vertices(); }
   [[nodiscard]] const VertexPartition& partition() const { return part_; }
@@ -237,7 +213,7 @@ class ShardedMatrixOracle final : public WeakOracle {
 
 /// The vertex-partition AdjacencyStore policy: per-shard sorted adjacency
 /// slices plus the row-sharded oracle. Satisfies the replay_core.hpp store
-/// contract; `apply_structural` routes once and feeds both state slices.
+/// contract; `toggle` updates both state slices and charges the route.
 class ShardedAdjacencyStore {
  public:
   ShardedAdjacencyStore(const VertexPartition& part, ShardedMatrixOracle& oracle);
@@ -253,15 +229,12 @@ class ShardedAdjacencyStore {
 
   bool toggle(const EdgeUpdate& up);
 
-  void apply_structural(std::span<const EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads);
-
   /// The vertex-partition participation policy the core hands to every
   /// Theorem 6.2 boost (replay_core.hpp contract).
   [[nodiscard]] RebuildParticipation& rebuild_participation() {
     return participation_;
   }
-  /// Folds the store's boundary traffic — batch routing (charged here),
+  /// Folds the store's boundary traffic — update routing (charged here),
   /// rebuild snapshot/gather rounds (participation_), and rebuild-query probe
   /// gathers (the oracle) — into one ledger. All-zero at shards = 1.
   [[nodiscard]] CommStats comm_stats() const {
@@ -281,13 +254,9 @@ class ShardedAdjacencyStore {
   void link(Vertex u, Vertex v);    // directed copy into owner(u)'s slice
   void unlink(Vertex u, Vertex v);  // directed copy out of owner(u)'s slice
 
-  /// Applies pre-routed ops to the adjacency slices shard-parallel (each
-  /// shard replays its list in update order) and updates m_edges_.
-  void apply_graph_ops(const RoutedOps& ops, int threads);
-
-  /// Charges one routing round of `total_ops` directed copies to the batch
-  /// ledger; no-op at shards = 1 or for an empty flush (nothing crosses).
-  void charge_route(std::int64_t total_ops);
+  /// Charges one routing round of a toggled update's two directed copies to
+  /// the update-path ledger; no-op at shards = 1 (nothing crosses).
+  void charge_route();
 
   const VertexPartition& part_;
   /// shard -> local row -> sorted neighbors (the shard's adjacency slice).
@@ -295,8 +264,8 @@ class ShardedAdjacencyStore {
   std::int64_t m_edges_ = 0;
   ShardedMatrixOracle& oracle_;
   ShardedRebuildParticipation participation_;
-  /// Batch-side comm ledger (routing traffic), written only by the update
-  /// thread outside any parallel region.
+  /// Update-path comm ledger (routing traffic), written only by the update
+  /// thread.
   std::int64_t batch_bytes_ = 0;
   std::int64_t batch_rounds_ = 0;
 };

@@ -24,15 +24,6 @@ MatrixWeakOracle::MatrixWeakOracle(Vertex n) : n_(n), adj_(n, n) {
   BMF_REQUIRE(n >= 0, "MatrixWeakOracle: negative vertex count");
 }
 
-void MatrixWeakOracle::on_batch(std::span<const EdgeUpdate> updates,
-                                std::span<const std::uint8_t> structural,
-                                int threads) {
-  for_each_incident_by_vertex(updates, structural, threads,
-                              [this](Vertex vertex, Vertex other, bool ins) {
-                                adj_.set(vertex, other, ins);
-                              });
-}
-
 MatrixWeakOracle MatrixWeakOracle::from_graph(const Graph& g) {
   MatrixWeakOracle oracle(g.num_vertices());
   for (const Edge& e : g.edges()) oracle.on_insert(e.u, e.v);

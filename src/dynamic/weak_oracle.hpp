@@ -56,12 +56,12 @@ class WeakOracle {
   virtual void on_insert(Vertex u, Vertex v) = 0;
   virtual void on_erase(Vertex u, Vertex v) = 0;
 
-  /// Batched maintenance: applies the structural subset of `updates`
-  /// (structural[i] != 0) as resolved by the caller. The default forwards to
-  /// on_insert / on_erase one by one in batch order; overrides may
-  /// parallelize on `threads` but must leave the oracle in the exact state
-  /// the serial replay would — the batched dynamic paths rely on this to stay
-  /// bit-identical to one-at-a-time application.
+  /// Applies the structural subset of `updates` (structural[i] != 0) by
+  /// forwarding to on_insert / on_erase one by one in batch order; `threads`
+  /// is ignored. Nothing in the library calls it: every engine maintains the
+  /// oracle one update at a time. Kept only because
+  /// perfbench/src/decorators.hpp overrides it; it goes with the next change
+  /// to perfbench/.
   virtual void on_batch(std::span<const EdgeUpdate> updates,
                         std::span<const std::uint8_t> structural, int threads);
 
@@ -92,11 +92,6 @@ class MatrixWeakOracle final : public WeakOracle {
   void on_erase(Vertex u, Vertex v) override {
     adj_.set(u, v, false), adj_.set(v, u, false);
   }
-  /// Row-parallel batched maintenance: a vertex's bit flips replay in batch
-  /// order within one thread (rows are word-aligned, so distinct rows never
-  /// share a word) — final matrix identical to the serial replay.
-  void on_batch(std::span<const EdgeUpdate> updates,
-                std::span<const std::uint8_t> structural, int threads) override;
   [[nodiscard]] Vertex num_vertices() const { return n_; }
   [[nodiscard]] const BitMatrix& adjacency() const { return adj_; }
 

@@ -1,29 +1,10 @@
 #include "graph/dyn_graph.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bmf {
-namespace {
-
-void require_valid(const EdgeUpdate& up, Vertex n) {
-  BMF_REQUIRE(up.u >= 0 && up.u < n && up.v >= 0 && up.v < n && up.u != up.v,
-              "DynGraph: invalid edge update");
-}
-
-/// Batches below this size replay inline: the pool round-trip costs more
-/// than the work, and every parallel site here is output-invariant in the
-/// thread count (see gated_threads).
-constexpr std::int64_t kSmallBatchMin = 32;
-
-int effective_threads(std::size_t work, int threads) {
-  return gated_threads(static_cast<std::int64_t>(work), kSmallBatchMin, threads);
-}
-
-}  // namespace
 
 DynGraph::DynGraph(Vertex num_vertices)
     : n_(num_vertices), adj_(static_cast<std::size_t>(num_vertices)) {
@@ -78,121 +59,6 @@ Graph DynGraph::snapshot() const {
     for (Vertex v : adj_[static_cast<std::size_t>(u)])
       if (u < v) b.add_edge(u, v);
   return b.build();
-}
-
-std::vector<std::uint8_t> DynGraph::resolve_structural(
-    std::span<const EdgeUpdate> updates, int threads) const {
-  std::vector<std::uint8_t> flags(updates.size(), 0);
-  // (canonical edge key, batch index), grouped by key with batch order kept
-  // inside each group.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
-  keyed.reserve(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    if (updates[i].empty()) continue;
-    require_valid(updates[i], n_);
-    keyed.emplace_back(edge_key(updates[i].u, updates[i].v),
-                       static_cast<std::uint32_t>(i));
-  }
-  std::sort(keyed.begin(), keyed.end());
-  std::vector<std::size_t> group_begin;
-  for (std::size_t i = 0; i < keyed.size(); ++i)
-    if (i == 0 || keyed[i].first != keyed[i - 1].first) group_begin.push_back(i);
-  group_begin.push_back(keyed.size());
-
-  parallel_for_threads(
-      effective_threads(group_begin.size() - 1, threads),
-      static_cast<std::int64_t>(group_begin.size()) - 1,
-      [&](std::int64_t g) {
-        const std::size_t begin = group_begin[static_cast<std::size_t>(g)];
-        const std::size_t end = group_begin[static_cast<std::size_t>(g) + 1];
-        const EdgeUpdate& first = updates[keyed[begin].second];
-        bool present = has_edge(first.u, first.v);
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::uint32_t i = keyed[k].second;
-          if (updates[i].insert != present) {
-            flags[i] = 1;
-            present = updates[i].insert;
-          }
-        }
-      });
-  return flags;
-}
-
-void for_each_incident_by_vertex(
-    std::span<const EdgeUpdate> updates, std::span<const std::uint8_t> structural,
-    int threads, const std::function<void(Vertex, Vertex, bool)>& fn) {
-  BMF_REQUIRE(structural.size() == updates.size(),
-              "for_each_incident_by_vertex: flag span size mismatch");
-  // Both directed copies of every structural update, grouped by first vertex
-  // with batch order kept inside each group.
-  std::vector<std::pair<Vertex, std::uint32_t>> ops;
-  ops.reserve(2 * updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    if (!structural[i]) continue;
-    ops.emplace_back(updates[i].u, static_cast<std::uint32_t>(i));
-    ops.emplace_back(updates[i].v, static_cast<std::uint32_t>(i));
-  }
-  std::sort(ops.begin(), ops.end());
-  std::vector<std::size_t> group_begin;
-  for (std::size_t i = 0; i < ops.size(); ++i)
-    if (i == 0 || ops[i].first != ops[i - 1].first) group_begin.push_back(i);
-  group_begin.push_back(ops.size());
-
-  parallel_for_threads(
-      effective_threads(group_begin.size() - 1, threads),
-      static_cast<std::int64_t>(group_begin.size()) - 1,
-      [&](std::int64_t g) {
-        const std::size_t begin = group_begin[static_cast<std::size_t>(g)];
-        const std::size_t end = group_begin[static_cast<std::size_t>(g) + 1];
-        const Vertex vertex = ops[begin].first;
-        for (std::size_t k = begin; k < end; ++k) {
-          const EdgeUpdate& up = updates[ops[k].second];
-          fn(vertex, up.u == vertex ? up.v : up.u, up.insert);
-        }
-      });
-}
-
-void DynGraph::apply_structural(std::span<const EdgeUpdate> updates,
-                                std::span<const std::uint8_t> structural,
-                                int threads) {
-  BMF_REQUIRE(structural.size() == updates.size(),
-              "DynGraph::apply_structural: flag span size mismatch");
-  std::int64_t delta = 0;
-  for (std::size_t i = 0; i < updates.size(); ++i)
-    if (structural[i]) delta += updates[i].insert ? 1 : -1;
-  for_each_incident_by_vertex(updates, structural, threads,
-                              [this](Vertex vertex, Vertex other, bool ins) {
-                                if (ins)
-                                  link(vertex, other);
-                                else
-                                  unlink(vertex, other);
-                              });
-  m_ += delta;
-}
-
-void DynGraph::apply_structural_disjoint(std::span<const EdgeUpdate> updates,
-                                         std::span<const std::uint8_t> structural,
-                                         int threads) {
-  BMF_REQUIRE(structural.size() == updates.size(),
-              "DynGraph::apply_structural_disjoint: flag span size mismatch");
-  std::int64_t delta = 0;
-  for (std::size_t i = 0; i < updates.size(); ++i)
-    if (structural[i]) delta += updates[i].insert ? 1 : -1;
-  parallel_for_threads(effective_threads(updates.size(), threads),
-                       static_cast<std::int64_t>(updates.size()),
-                       [&](std::int64_t i) {
-                         const auto k = static_cast<std::size_t>(i);
-                         if (!structural[k]) return;
-                         const EdgeUpdate& up = updates[k];
-                         if (up.insert) {
-                           link(up.u, up.v);
-                           link(up.v, up.u);
-                         } else {
-                           unlink(up.u, up.v);
-                           unlink(up.v, up.u);
-                         }
-                       });
-  m_ += delta;
 }
 
 }  // namespace bmf

@@ -13,17 +13,9 @@
 ///    neighbor scan (e.g. the dynamic matcher's rematch-by-first-free-neighbor
 ///    repair) is deterministic and reproducible across toolchains.
 ///
-/// Single-edge insert/erase costs O(log deg) to locate plus O(deg) to shift;
-/// the batched entry points below regain parallelism across vertices: a batch
-/// of updates is resolved into its structural subset (`resolve_structural`,
-/// no-op aware and duplicate-edge aware) and applied with per-vertex replay
-/// (`apply_structural`), where distinct vertices' adjacency lists are mutated
-/// concurrently but each list is replayed in batch order — the same
-/// private-slot/ordered-merge discipline as util/thread_pool.hpp, so results
-/// are bit-identical at any thread count.
+/// Single-edge insert/erase costs O(log deg) to locate plus O(deg) to shift.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -31,8 +23,8 @@
 
 namespace bmf {
 
-/// One Problem 1 update. Lives with the dynamic substrate so that batch
-/// machinery (graph, oracles, matchers) shares a single update vocabulary.
+/// One Problem 1 update. Lives with the dynamic substrate so that the graph,
+/// the oracles and the matchers share a single update vocabulary.
 struct EdgeUpdate {
   Vertex u = kNoVertex;
   Vertex v = kNoVertex;
@@ -74,27 +66,6 @@ class DynGraph {
   /// Edges come out sorted lexicographically with u < v.
   [[nodiscard]] Graph snapshot() const;
 
-  /// Resolves which updates of a batch structurally change the graph when
-  /// replayed in order: flags[i] != 0 iff update i toggles edge presence
-  /// (insert of an absent edge / erase of a present edge), accounting for
-  /// earlier updates in the same batch that touch the same edge. Validates
-  /// endpoints up front; does not mutate. Distinct edges resolve in parallel.
-  [[nodiscard]] std::vector<std::uint8_t> resolve_structural(
-      std::span<const EdgeUpdate> updates, int threads = 1) const;
-
-  /// Applies the structural subset of a batch (flags from
-  /// `resolve_structural`) with per-vertex parallel replay. Equivalent to
-  /// applying the flagged updates one by one in batch order.
-  void apply_structural(std::span<const EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads = 1);
-
-  /// Fast path of `apply_structural` for batches whose structural updates
-  /// have pairwise-disjoint endpoints (each vertex is touched at most once):
-  /// applies updates concurrently without any grouping pass.
-  void apply_structural_disjoint(std::span<const EdgeUpdate> updates,
-                                 std::span<const std::uint8_t> structural,
-                                 int threads = 1);
-
  private:
   void link(Vertex u, Vertex v);    // one-directional sorted insert
   void unlink(Vertex u, Vertex v);  // one-directional sorted erase
@@ -103,16 +74,5 @@ class DynGraph {
   std::int64_t m_ = 0;
   std::vector<std::vector<Vertex>> adj_;  // each sorted ascending
 };
-
-/// Shared workhorse under batched adjacency-shaped maintenance (DynGraph,
-/// bit-matrix oracles): emits both directed copies (u, v) and (v, u) of every
-/// structural update, grouped by first vertex, and invokes
-/// fn(vertex, other, insert) group by group — a vertex's copies arrive in
-/// batch order and never split across threads, while distinct vertices run
-/// concurrently. Callers may therefore mutate per-vertex state inside fn and
-/// still get the serial-replay result at any thread count.
-void for_each_incident_by_vertex(
-    std::span<const EdgeUpdate> updates, std::span<const std::uint8_t> structural,
-    int threads, const std::function<void(Vertex, Vertex, bool)>& fn);
 
 }  // namespace bmf

@@ -1,6 +1,7 @@
 #include "io/graph_io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -8,6 +9,11 @@
 
 namespace bmf {
 namespace {
+
+// Ids and counts are range-checked in 64 bits before any cast to Vertex: a
+// count must fit in a Vertex, and an id must stay below that so that
+// `max id + 1` fits too.
+constexpr long long kMaxVertexCount = std::numeric_limits<Vertex>::max();
 
 struct ParsedEdges {
   Vertex max_id = -1;
@@ -29,6 +35,9 @@ ParsedEdges parse_lines(std::istream& in, bool weighted) {
         long long n = -1;
         BMF_REQUIRE(static_cast<bool>(hs >> n) && n >= 0,
                     "edge list: malformed '# vertices' header");
+        BMF_REQUIRE(n <= kMaxVertexCount,
+                    "edge list: '# vertices' count out of range at line " +
+                        std::to_string(line_no));
         out.declared = static_cast<Vertex>(n);
       }
       continue;
@@ -45,6 +54,8 @@ ParsedEdges parse_lines(std::istream& in, bool weighted) {
     }
     BMF_REQUIRE(u >= 0 && v >= 0,
                 "edge list: negative vertex id at line " + std::to_string(line_no));
+    BMF_REQUIRE(u < kMaxVertexCount && v < kMaxVertexCount,
+                "edge list: vertex id out of range at line " + std::to_string(line_no));
     BMF_REQUIRE(u != v,
                 "edge list: self-loop at line " + std::to_string(line_no));
     out.edges.push_back({static_cast<Vertex>(u), static_cast<Vertex>(v),
@@ -104,7 +115,9 @@ Graph read_dimacs(std::istream& in) {
   Vertex n = -1;
   std::vector<Edge> edges;
   std::int64_t declared_m = -1;
+  std::int64_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == 'c') continue;
     std::istringstream ls(line);
     char kind = 0;
@@ -114,6 +127,9 @@ Graph read_dimacs(std::istream& in) {
       long long nn = -1, mm = -1;
       BMF_REQUIRE(static_cast<bool>(ls >> fmt >> nn >> mm) && nn >= 0 && mm >= 0,
                   "dimacs: malformed problem line");
+      BMF_REQUIRE(nn <= kMaxVertexCount,
+                  "dimacs: vertex count out of range at line " +
+                      std::to_string(line_no));
       n = static_cast<Vertex>(nn);
       declared_m = mm;
     } else if (kind == 'e') {

@@ -9,11 +9,11 @@
 /// Client threads `submit` `EdgeUpdate`s into a bounded MPSC ingest queue
 /// (util/bounded_queue.hpp). One writer thread drains the queue, coalescing
 /// whatever has arrived (up to `coalesce_max`) into a single batch, and
-/// drives `ReplayEngine::apply_batch` — the existing conflict-free prefix
-/// cutting in `DynamicReplayCore` is the intra-batch parallelization; the
-/// queue is merely the batching boundary. After each committed batch the
-/// writer *publishes an epoch*: an immutable `MatchingSnapshot` (compact mate
-/// array + size + epoch id, exported by the replay core's snapshot hook)
+/// drives `ReplayEngine::apply_batch`, which applies the batch serially, one
+/// update at a time; the queue is the batching boundary. After each
+/// committed batch the writer *publishes an epoch*: an immutable
+/// `MatchingSnapshot` (compact mate array + size + epoch id, exported by the
+/// replay core's snapshot hook)
 /// installed by an atomic pointer swap. Reader threads answer `mate_of` /
 /// `is_matched` / `size` from their `SnapshotReader` handle's cached snapshot
 /// — plain loads off immutable memory, no locks, never blocked by the writer.

@@ -42,8 +42,7 @@ namespace bmf {
 /// wired to a small shared hub set, then the planted matching torn down by
 /// deleting each pair edge once in shuffled order: the teardown is a maximal
 /// run of consecutive matched-edge deletions with pairwise-disjoint
-/// endpoints (a heavy reservation-rematch run, truncated only by rebuild
-/// triggers), and the hubs make freed endpoints compete for the same rematch
+/// endpoints, and the hubs make freed endpoints compete for the same rematch
 /// candidates. Uses vertices [0, 2*pairs + hubs).
 [[nodiscard]] std::vector<EdgeUpdate> dyn_planted_teardown(Vertex pairs,
                                                            Vertex hubs, Rng& rng);
@@ -66,11 +65,10 @@ namespace bmf {
 /// Mixed-churn stream for the cross-engine differential harness: rotates
 /// through four regimes in fixed-length phases — an insert-heavy burst, a
 /// planted-pair build-up immediately torn down by consecutive matched-edge
-/// deletions (maximal heavy reservation-rematch runs), a deletion-heavy
-/// random mix, and an oldest-first eviction sweep — so one stream exercises
-/// the light-prefix, heavy-run, rebuild-trigger, and eviction paths of the
-/// replay core back to back. Every emitted update is valid and the graph
-/// starts empty.
+/// deletions, a deletion-heavy random mix, and an oldest-first eviction
+/// sweep — so one stream exercises insertion matching, matched-edge repair,
+/// rebuild triggers, and evictions back to back. Every emitted update is
+/// valid and the graph starts empty.
 [[nodiscard]] std::vector<EdgeUpdate> dyn_mixed_churn(Vertex n, std::int64_t count,
                                                       Rng& rng);
 

@@ -46,13 +46,6 @@ class MinimalStore {
     return changed;
   }
 #endif
-#ifndef BMF_OMIT_APPLY_STRUCTURAL
-  void apply_structural(std::span<const bmf::EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads) {
-    g_.apply_structural_disjoint(updates, structural, threads);
-    oracle_.on_batch(updates, structural, threads);
-  }
-#endif
 #ifndef BMF_OMIT_REBUILD_PARTICIPATION
   [[nodiscard]] bmf::RebuildParticipation& rebuild_participation() {
     return participation_;

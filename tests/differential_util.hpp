@@ -22,11 +22,12 @@
 /// The coordinator message ledger (`CommStats`) has a weaker contract still:
 /// deterministic (pinned by a double run in every sharded k > 1 cell),
 /// monotone batch over batch (audited inside `run_sharded`), and equal at
-/// every thread count for a fixed (shards, batch size), with all-zero
-/// ledgers for the flat engine and the k = 1 sharded engine — but *not*
-/// equal across batch sizes, because routing rounds follow the prefix
-/// cuts. `RebuildStats`, by contrast, is part of the full
-/// bit-identity contract and rides inside `RunResult`.
+/// every thread count and every batch size for a fixed shard count (the
+/// update path charges one round per toggled update, whatever batch it
+/// arrives in), with all-zero ledgers for the flat engine and the k = 1
+/// sharded engine — but *not* equal across shard counts.
+/// `RebuildStats`, by contrast, is part of the full bit-identity contract
+/// and rides inside `RunResult`.
 
 #include <gtest/gtest.h>
 
@@ -121,7 +122,7 @@ inline RunResult run_flat_batched(Vertex n, std::span<const EdgeUpdate> ups,
                                   DynamicMatcherConfig cfg, int threads,
                                   std::int64_t batch_size,
                                   std::int64_t* words_out = nullptr) {
-  // The size gates are perf-only; disable them so the batched paths fan out
+  // The size gates are perf-only; disable them so the rebuild fan-out runs
   // on test-sized inputs (the differential suites also run under TSan).
   const ForceParallelSmallWork force;
   cfg.threads = threads;
@@ -186,7 +187,7 @@ struct GridOptions {
 /// point, then every sharded (shards x batch x threads) point, asserting the
 /// full RunResult (including rebuild positions) agrees everywhere, that
 /// words_touched is invariant within each engine family, and that the
-/// sharded comm ledger is invariant across thread counts.
+/// sharded comm ledger is invariant across thread counts and batch sizes.
 inline void expect_all_engines_equal(Vertex n, std::span<const EdgeUpdate> ups,
                                      const DynamicMatcherConfig& cfg,
                                      const GridOptions& opt = {}) {
@@ -210,10 +211,12 @@ inline void expect_all_engines_equal(Vertex n, std::span<const EdgeUpdate> ups,
 
   if (!opt.run_sharded_grid) return;
   std::int64_t sharded_words = -1;
-  for (const int shards : opt.shard_counts)
+  for (const int shards : opt.shard_counts) {
+    // The update path charges one round per toggled update and nothing reads
+    // the thread count, so a shard count has one ledger across every batch
+    // size and thread count.
+    std::optional<CommStats> shard_comm;
     for (const std::int64_t batch_size : opt.sharded_batch_sizes) {
-      // No batch-engine decision reads the thread count, so the ledger of a
-      // (shards, batch size) cell is the same at every thread count.
       std::optional<CommStats> first_comm;
       for (const int threads : opt.sharded_threads) {
         std::int64_t words = 0;
@@ -263,8 +266,13 @@ inline void expect_all_engines_equal(Vertex n, std::span<const EdgeUpdate> ups,
         EXPECT_EQ(comm, *first_comm)
             << "comm ledger differs across thread counts: shards=" << shards
             << " threads=" << threads << " batch=" << batch_size;
+        if (!shard_comm) shard_comm = comm;
+        EXPECT_EQ(comm, *shard_comm)
+            << "comm ledger differs across batch sizes: shards=" << shards
+            << " threads=" << threads << " batch=" << batch_size;
       }
     }
+  }
 }
 
 }  // namespace bmf::testdiff

@@ -59,9 +59,9 @@ TEST_P(BatchDifferential, ChurnPlanted) {
 
 TEST_P(BatchDifferential, MatchedTeardownRounds) {
   // Rounds of planted-pair build-up followed by consecutive deletion of every
-  // matched pair: the teardowns are maximal heavy runs with disjoint
-  // endpoints, driving the parallel reservation rematch (and its truncation
-  // at rebuild triggers) rather than the light-prefix path.
+  // matched pair: the teardowns are maximal runs of matched-edge deletions
+  // with disjoint endpoints, each repaired by rematching both endpoints, with
+  // rebuild triggers landing inside the runs.
   Rng rng(GetParam() + 500);
   const Vertex pairs = 18;
   std::vector<EdgeUpdate> ups;
@@ -137,40 +137,71 @@ TEST(BatchDifferential, InvalidUpdateRejectedBeforeMutation) {
   EXPECT_EQ(dm.graph().num_edges(), 0);
 }
 
-TEST(Problem1Batch, ChunkThreadCountEquivalence) {
-  // Chunks with duplicate edges and insert/erase toggles of the same edge
-  // must resolve to the same graph and oracle state at any thread count.
+TEST(Problem1Batch, ChunkMatchesOneAtATimeReplay) {
+  // Besides plain inserts, the chunk carries duplicate inserts (in both
+  // orientations), same-edge toggles, a deletion of an absent edge and empty
+  // updates. It must leave the graph and the oracle exactly as a DynGraph
+  // plus a MatrixWeakOracle fed one update at a time.
   const Vertex n = 40;
   std::vector<EdgeUpdate> chunk;
   for (Vertex i = 0; i < 8; ++i) chunk.push_back(EdgeUpdate::ins(i, i + 8));
-  chunk.push_back(EdgeUpdate::ins(0, 8));   // duplicate
-  chunk.push_back(EdgeUpdate::del(0, 8));   // toggle off
+  chunk.push_back(EdgeUpdate::ins(0, 8));    // duplicate
+  chunk.push_back(EdgeUpdate::del(0, 8));    // toggle off
   chunk.push_back(EdgeUpdate::none());
-  ASSERT_EQ(chunk.size(), 11u);
+  chunk.push_back(EdgeUpdate::ins(30, 31));
+  chunk.push_back(EdgeUpdate::ins(31, 30));  // duplicate, reversed
+  chunk.push_back(EdgeUpdate::del(30, 31));  // toggle off, on, off
+  chunk.push_back(EdgeUpdate::ins(30, 31));
+  chunk.push_back(EdgeUpdate::del(31, 30));
+  chunk.push_back(EdgeUpdate::del(34, 35));  // absent deletion
+  chunk.push_back(EdgeUpdate::none());
+  chunk.push_back(EdgeUpdate::del(2, 10));   // toggle off and on
+  chunk.push_back(EdgeUpdate::ins(2, 10));
+  ASSERT_EQ(chunk.size(), 20u);
 
-  std::vector<Graph> snapshots;
-  std::vector<std::vector<Edge>> answers;
-  const ForceParallelSmallWork force;
-  for (const int threads : {1, 2, 8}) {
-    MatrixWeakOracle oracle(n);
-    Problem1Instance p1(n, oracle, /*q=*/2, /*lambda=*/0.5, /*delta=*/0.01,
-                        /*alpha=*/0.275);
-    ASSERT_EQ(p1.chunk_size(), 11);
-    p1.apply_chunk(chunk, threads);
-    snapshots.push_back(p1.graph().snapshot());
-    std::vector<Vertex> s;
-    for (Vertex v = 0; v < n; ++v) s.push_back(v);
-    answers.push_back(p1.query(s).matching);
+  DynGraph want_graph(n);
+  MatrixWeakOracle want_oracle(n);
+  for (const EdgeUpdate& up : chunk) {
+    if (up.empty()) continue;
+    if (up.insert) {
+      if (want_graph.insert(up.u, up.v)) want_oracle.on_insert(up.u, up.v);
+    } else if (want_graph.erase(up.u, up.v)) {
+      want_oracle.on_erase(up.u, up.v);
+    }
   }
-  for (std::size_t i = 1; i < snapshots.size(); ++i) {
-    ASSERT_EQ(snapshots[i].num_edges(), snapshots[0].num_edges());
-    for (std::int64_t e = 0; e < snapshots[0].num_edges(); ++e)
-      EXPECT_EQ(snapshots[i].edges()[static_cast<std::size_t>(e)],
-                snapshots[0].edges()[static_cast<std::size_t>(e)]);
-    EXPECT_EQ(answers[i], answers[0]);
-  }
-  EXPECT_FALSE(snapshots[0].has_edge(0, 8));  // the toggle netted out
-  EXPECT_EQ(snapshots[0].num_edges(), 7);
+  const auto edges_of = [](const Graph& g) {
+    return std::vector<Edge>(g.edges().begin(), g.edges().end());
+  };
+  const Graph want = want_graph.snapshot();
+  std::vector<Vertex> all;
+  for (Vertex v = 0; v < n; ++v) all.push_back(v);
+  constexpr double kDelta = 0.01;
+
+  MatrixWeakOracle oracle(n);
+  Problem1Instance p1(n, oracle, /*q=*/2, /*lambda=*/0.5, kDelta,
+                      /*alpha=*/0.5);
+  ASSERT_EQ(p1.chunk_size(), 20);
+  p1.apply_chunk(chunk);
+  const Graph got = p1.graph().snapshot();
+  EXPECT_EQ(edges_of(got), edges_of(want));
+  EXPECT_EQ(p1.query(all).matching, want_oracle.query(all, kDelta).matching);
+  EXPECT_FALSE(got.has_edge(0, 8));  // the toggle netted out
+  EXPECT_EQ(got.num_edges(), 7);
+
+  // A chunk whose last update is invalid is rejected before its first
+  // mutation: the graph, the oracle and the query budget stay as they were.
+  ASSERT_EQ(p1.queries_left(), 1);
+  std::vector<EdgeUpdate> bad(20, EdgeUpdate::del(1, 9));
+  bad[1] = EdgeUpdate::ins(20, 21);
+  bad.back() = EdgeUpdate::ins(3, 3);
+  EXPECT_THROW(p1.apply_chunk(bad), std::invalid_argument);
+  EXPECT_EQ(p1.queries_left(), 1);
+  EXPECT_EQ(edges_of(p1.graph().snapshot()), edges_of(want));
+  for (Vertex u = 0; u < n; ++u)
+    for (Vertex v = 0; v < n; ++v)
+      ASSERT_EQ(oracle.adjacency().get(u, v), want_oracle.adjacency().get(u, v))
+          << "bit (" << u << ", " << v << ")";
+  EXPECT_EQ(p1.query(all).matching, want_oracle.query(all, kDelta).matching);
 }
 
 TEST(PartialDynamicBatch, IncrementalBatchMatchesSerial) {

@@ -115,34 +115,6 @@ TEST(DynGraph, SnapshotOrderIsInsertionOrderIndependent) {
   }
 }
 
-TEST(DynGraph, BatchResolveAndApplyMatchesSerialReplay) {
-  // resolve_structural + apply_structural over a batch with duplicates and
-  // same-edge toggles must equal the one-at-a-time replay, at any threads.
-  std::vector<EdgeUpdate> batch{
-      EdgeUpdate::ins(0, 1), EdgeUpdate::ins(1, 0),  // duplicate
-      EdgeUpdate::del(0, 1), EdgeUpdate::ins(0, 1),  // toggle off and on
-      EdgeUpdate::ins(2, 3), EdgeUpdate::del(4, 5),  // absent deletion
-      EdgeUpdate::none(),    EdgeUpdate::ins(1, 2)};
-  DynGraph serial(6);
-  for (const EdgeUpdate& up : batch) {
-    if (up.empty()) continue;
-    if (up.insert)
-      serial.insert(up.u, up.v);
-    else
-      serial.erase(up.u, up.v);
-  }
-  for (const int threads : {1, 4}) {
-    DynGraph g(6);
-    const auto flags = g.resolve_structural(batch, threads);
-    g.apply_structural(batch, flags, threads);
-    EXPECT_EQ(g.num_edges(), serial.num_edges());
-    for (Vertex u = 0; u < 6; ++u)
-      for (Vertex v = 0; v < 6; ++v)
-        EXPECT_EQ(g.has_edge(u, v), serial.has_edge(u, v))
-            << u << "," << v << " threads=" << threads;
-  }
-}
-
 TEST(BitVec, SetGetPopcount) {
   BitVec v(130);
   v.set(0);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "dynamic/partial_dynamic.hpp"
 #include "dynamic/weak_oracle.hpp"
@@ -112,6 +113,32 @@ TEST(GraphIo, UndersizedDeclaredHeaderRejected) {
   // An exactly-sized or oversized header still works.
   std::stringstream exact("# vertices 6\n0 1\n2 5\n");
   EXPECT_EQ(read_edge_list(exact).num_vertices(), 6);
+}
+
+TEST(GraphIo, VertexIdsAndCountsPastInt32Rejected) {
+  // Ids and counts are range-checked before the cast to Vertex; each of
+  // these used to be read silently as a different graph or to overflow.
+  const auto expect_rejected = [](auto read, const char* text) {
+    std::stringstream in(text);
+    try {
+      (void)read(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
+          << "message names no line: " << e.what();
+    }
+  };
+  const auto plain = [](std::istream& in) { return read_edge_list(in); };
+  const auto weighted = [](std::istream& in) {
+    return read_weighted_edge_list(in);
+  };
+  const auto dimacs = [](std::istream& in) { return read_dimacs(in); };
+  expect_rejected(plain, "0 4294967297\n");                // read as {0, 1}
+  expect_rejected(weighted, "0 4294967297 2.0\n");
+  expect_rejected(plain, "# vertices 4294967298\n0 1\n");  // read as n = 2
+  expect_rejected(plain, "# vertices 3000000000\n0 1\n");  // header ignored
+  expect_rejected(dimacs, "p edge 4294967298 1\ne 1 2\n");  // read as n = 2
+  expect_rejected(plain, "0 2147483647\n");  // max_id + 1 overflowed int32
 }
 
 // ---------------------------------------------------------------------------

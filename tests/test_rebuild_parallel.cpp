@@ -4,10 +4,9 @@
 ///    cfg.threads with private buffers merged in structure-id order, so
 ///    boost_matching / static_weak_matching must be bit-identical (matching,
 ///    stats, oracle call counts) at 1, 2, and 8 threads;
-///  * DynamicMatcher's heavy-run reservation rematch and the rebuilds its
-///    prefixes arm must keep apply_batch bit-identical to the sequential
-///    apply loop on deletion-heavy and adaptive-rebuild schedules at any
-///    thread count.
+///  * DynamicMatcher's apply_batch, with the rebuilds it fires fanning out
+///    across threads, must stay bit-identical to the sequential apply loop
+///    on deletion-heavy and adaptive-rebuild schedules at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -229,8 +228,8 @@ TEST(RebuildParallelParticipation, FrameworkDriverHonorsParticipation) {
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic: sequential apply loop vs apply_batch with the reservation rematch
-// and prefix-armed rebuilds.
+// Dynamic: sequential apply loop vs apply_batch, with rebuilds firing inside
+// batches.
 // ---------------------------------------------------------------------------
 
 using testdiff::RunResult;
@@ -256,9 +255,9 @@ TEST_P(RebuildDifferential, PlantedTeardownHeavyRuns) {
   const auto ups = dyn_planted_teardown(pairs, hubs, rng);
   DynamicMatcherConfig cfg;
   // eps = 1 keeps the adaptive budget ~|M|/4 > 1, so the teardown produces
-  // real multi-deletion reservation runs between rebuild triggers (tighter
-  // eps collapses the budget to 1 on graphs this small, forcing every heavy
-  // deletion down the serial path).
+  // runs of several matched deletions between rebuild triggers (tighter eps
+  // collapses the budget to 1 on graphs this small, so a rebuild would
+  // follow every deletion).
   cfg.eps = 1.0;
   cfg.seed = GetParam();
   expect_all_modes_equal(n, ups, cfg);
@@ -275,8 +274,7 @@ TEST_P(RebuildDifferential, DeletionHeavyAdaptiveSchedules) {
 
 TEST_P(RebuildDifferential, InsertHeavyFixedCadence) {
   // Insert-dominated stream with a tight fixed rebuild cadence: rebuilds
-  // fire inside long light prefixes, which the budget replay must cut at the
-  // exact sequential position.
+  // fire inside long insertion runs, at the exact sequential position.
   Rng rng(GetParam() + 150);
   const auto ups = dyn_random_updates(40, 450, 0.95, rng);
   DynamicMatcherConfig cfg;
@@ -325,9 +323,9 @@ TEST(RebuildDifferential, HeavyRunCompetingReservations) {
 }
 
 TEST(RebuildDifferential, HeavyRunTruncatesAtRebuildTrigger) {
-  // A fixed budget forces a rebuild in the middle of a would-be heavy run;
-  // the run must truncate so the rebuild fires at the exact sequential
-  // position (pinned by rebuilds() and the weak-call count).
+  // A fixed budget forces rebuilds in the middle of runs of matched
+  // deletions, at the exact sequential position (pinned by rebuilds() and
+  // the weak-call count).
   Rng rng(99);
   const Vertex pairs = 16, hubs = 3;
   const Vertex n = 2 * pairs + hubs;

@@ -81,7 +81,7 @@ TEST_P(ReplayCoreDifferential, CompositeStreamAllEnginesAllGridPoints) {
 
 TEST_P(ReplayCoreDifferential, MixedChurnFixedCadence) {
   // The new shape on its own, with a fixed rebuild cadence so rebuilds
-  // fire inside light prefixes and between heavy runs throughout the stream.
+  // fire inside batches and teardown runs throughout the stream.
   Rng rng(GetParam() + 40);
   const auto ups = dyn_mixed_churn(40, 320, rng);
   DynamicMatcherConfig cfg;
@@ -98,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplayCoreDifferential,
 
 TEST(ReplayCoreStats, RebuildStatsFoldAcrossSerialAndBatchedPaths) {
   // rebuild_stats() folds every boost the core ran — from the serial loop
-  // and from the batch engine alike — and is part of the bit-identity
+  // and from apply_batch alike — and is part of the bit-identity
   // contract, read here through the abstract ReplayEngine surface. The flat
   // engine's comm ledger stays identically zero on every path.
   Rng rng(31);
@@ -434,12 +434,6 @@ class MinimalStore {
         oracle_.on_erase(up.u, up.v);
     }
     return changed;
-  }
-
-  void apply_structural(std::span<const EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads) {
-    g_.apply_structural_disjoint(updates, structural, threads);
-    oracle_.on_batch(updates, structural, threads);
   }
 
   [[nodiscard]] RebuildParticipation& rebuild_participation() {

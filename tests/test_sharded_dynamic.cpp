@@ -110,12 +110,15 @@ TEST_P(ShardedOracleProps, QueriesMatchAfterErasures) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedOracleProps, ::testing::Values(1u, 2u, 3u));
 
 // --------------------------------------------- on_batch vs serial replay
+//
+// WeakOracle::on_batch keeps its default serial body only because
+// perfbench/src/decorators.hpp overrides it; these pin that default on both
+// oracles.
 
-/// A randomized update batch whose `structural` flags are exactly the
-/// resolve_structural semantics (flag = the update toggles edge presence
-/// given earlier batch members), mixing structural and non-structural
-/// entries: duplicate inserts, deletes of absent edges, and same-edge
-/// toggles within one batch.
+/// A randomized update batch whose `structural` flags mark exactly the
+/// updates that toggle edge presence given earlier batch members, mixing
+/// structural and non-structural entries: duplicate inserts, deletes of
+/// absent edges, and same-edge toggles within one batch.
 struct FlaggedBatch {
   std::vector<EdgeUpdate> updates;
   std::vector<std::uint8_t> structural;
@@ -131,7 +134,7 @@ FlaggedBatch random_flagged_batch(Vertex n, std::size_t count, Rng& rng) {
     const bool ins = rng.next_bool(0.6);
     const std::uint64_t key = edge_key(u, v);
     // Structural iff the update toggles presence: insert of an absent edge
-    // or delete of a present one (resolve_structural semantics).
+    // or delete of a present one.
     const bool toggles = ins != present.contains(key);
     b.updates.push_back(ins ? EdgeUpdate::ins(u, v) : EdgeUpdate::del(u, v));
     if (toggles) {
@@ -379,6 +382,40 @@ TEST(ShardedRebuildParticipation, CommLedgerMonotoneMidStream) {
   EXPECT_GE(last.rebuild_rounds, dm.rebuilds());
   EXPECT_EQ(last.coord_bytes(), last.batch_bytes + last.rebuild_bytes);
   EXPECT_EQ(last.coord_rounds(), last.batch_rounds + last.rebuild_rounds);
+}
+
+TEST(ShardedRebuildParticipation, CommLedgerIndependentOfBatchSize) {
+  // The update path charges one routing round of two directed copies per
+  // toggled update, whatever batch it arrives in, so every batch slicing at
+  // every thread count reproduces the serial apply loop's ledger exactly.
+  Rng rng(24);
+  const auto ups = dyn_shard_partitioned(48, 4, 380, 0.7, 0.7, rng);
+  const ForceParallelSmallWork force;
+  for (const int shards : {2, 4}) {
+    ShardedMatcherConfig cfg;
+    cfg.eps = 0.25;
+    cfg.seed = 24;
+    cfg.rebuild_every = 40;  // room for multi-update batches between rebuilds
+    cfg.shards = shards;
+    cfg.threads = 1;
+    ShardedDynamicMatcher serial(48, cfg);
+    for (const EdgeUpdate& up : ups) serial.apply(up);
+    const CommStats want = serial.comm_stats();
+    EXPECT_GT(serial.rebuilds(), 0);
+    EXPECT_GT(want.batch_rounds, 0);
+    EXPECT_EQ(want.batch_bytes,
+              want.batch_rounds * 2 * static_cast<std::int64_t>(sizeof(ShardOp)));
+    for (const int threads : {1, 8})
+      for (const std::int64_t batch_size : {7, 64}) {
+        cfg.threads = threads;
+        ShardedDynamicMatcher batched(48, cfg);
+        for (const auto& batch : slice_updates(ups, batch_size))
+          batched.apply_batch(batch);
+        EXPECT_EQ(batched.comm_stats(), want)
+            << "shards=" << shards << " threads=" << threads
+            << " batch=" << batch_size;
+      }
+  }
 }
 
 TEST(ShardedRebuildParticipation, CommLedgerZeroForSingleParticipant) {
