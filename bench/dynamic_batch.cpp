@@ -3,9 +3,9 @@
 /// DynamicMatcher::apply_batch validates a whole batch, then applies it one
 /// update at a time — the sequential apply loop behind one call (the
 /// determinism contract in src/dynamic/replay_core.hpp). This bench measures
-/// updates/sec of the batched entry point against the one-at-a-time loop,
-/// where `threads` only drives the Theorem 6.2 rebuild's fan-out, and
-/// verifies the identity:
+/// updates/sec of the batched entry point against the one-at-a-time loop
+/// (the engine reads no thread count: the `threads` axis only checks that
+/// the knob changes nothing), and verifies the identity:
 ///
 ///  * a large update-path run (rebuilds pushed out of the measurement), where
 ///    the batched rows show the per-batch overhead and nothing else;

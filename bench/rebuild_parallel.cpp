@@ -1,20 +1,21 @@
-/// Parallel Theorem 6.2 rebuild engine: wall clock + bit-identity at 1/2/8
+/// Theorem 6.2 rebuild engine: wall clock + bit-identity at 1/2/8 configured
 /// threads.
 ///
 /// Three workloads:
 ///
-///  * `static_boost` — one boost_matching run (FrameworkDriver H'/H'_s
-///    discovery fans out per structure); rebuild_ms is the boost wall time.
+///  * `static_boost` — one boost_matching run (the initial matching's edge
+///    filter takes the thread count; the FrameworkDriver H'/H'_s sweeps are
+///    serial); rebuild_ms is the boost wall time.
 ///  * `churn_rebuilds` — a churning planted matching under the adaptive
-///    rebuild schedule: rebuild-dominated dynamic stream, so the parallel
-///    rebuild is nearly the whole wall clock.
+///    rebuild schedule: rebuild-dominated dynamic stream, so the rebuild is
+///    nearly the whole wall clock.
 ///  * `deletion_teardown` — planted pairs torn down by consecutive matched
 ///    deletions: exercises matched-edge repair on long deletion runs.
 ///
 /// Every cell is checked bit-identical against the sequential reference; any
 /// divergence prints NO and the process exits non-zero (the bench-smoke CI
-/// job doubles as a Release-mode determinism check). Speedups need real
-/// cores; on a 1-core host the table only shows engine overhead.
+/// job doubles as a Release-mode determinism check). The dynamic engines read
+/// no thread count, so their rows differ only by timing noise.
 
 #include <cstdio>
 #include <thread>

@@ -1,20 +1,20 @@
 /// Sharded vertex-partition dynamic engine throughput + determinism check.
 ///
 /// ShardedDynamicMatcher partitions the vertex set into k shards, routes each
-/// batch's directed update copies to their owning shards (applied
-/// shard-parallel), keeps matching commits on the serial coordinator, and
-/// replays the Theorem 6.2 rebuild budget globally — bit-identical to the
-/// sequential DynamicMatcher at any (shards x threads), including rebuild
-/// positions and A_weak call counts (src/dynamic/sharded_matcher.hpp). This
-/// bench measures updates/sec across the (shards x threads) grid against the
+/// update's two directed copies to their owning shards, keeps matching
+/// commits on the serial coordinator, and replays the Theorem 6.2 rebuild
+/// budget globally — bit-identical to the sequential DynamicMatcher at any
+/// (shards x threads), including rebuild positions and A_weak call counts
+/// (src/dynamic/sharded_matcher.hpp). Everything runs on the calling thread;
+/// the `threads` axis only checks that the knob changes nothing. This bench
+/// measures updates/sec across the (shards x threads) grid against the
 /// one-at-a-time reference and verifies the identity:
 ///
 ///  * a large update-path run (rebuilds pushed out of the measurement) where
-///    shard routing and parallel application are the whole story;
+///    shard routing is the whole story;
 ///  * a small adaptive-rebuild run where rebuild positions, rebuild counts,
-///    and A_weak call counts must line up exactly as well — and where the
-///    sharded oracle's speculative probe scans parallelize the rebuild's
-///    serial greedy fraction.
+///    and A_weak call counts must line up exactly as well, and where the
+///    comm ledger's rebuild side is charged.
 ///
 /// Exits non-zero on any shard-count divergence (the bench-smoke CI job runs
 /// this in --quick --json mode into BENCH_pr.json).

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
       file = arg;
     }
   }
-  if (eps <= 0 || eps > 1) {
+  if (!(eps > 0 && eps <= 1)) {  // also rejects NaN
     std::fprintf(stderr, "eps must be in (0, 1]\n");
     return 2;
   }

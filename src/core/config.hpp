@@ -56,11 +56,11 @@ struct CoreConfig {
 
   /// Thread-pool fan-out for the parallel loops that take their thread count
   /// from this config: independent boosting repetitions, oracle sampling,
-  /// simulator rounds, and the FrameworkDriver's per-structure H'/H'_s
-  /// discovery (the inner loop of every boost and of every Theorem 6.2
-  /// rebuild). 0 = std::thread::hardware_concurrency(), 1 = serial. Every
-  /// parallel path follows the deterministic-merge discipline of
-  /// util/thread_pool.hpp, so for a fixed `seed` the results are
+  /// simulator rounds, and the initial matching's free-free edge filter. The
+  /// FrameworkDriver's H'/H'_s sweeps (and so every Theorem 6.2 rebuild) are
+  /// serial and ignore it. 0 = std::thread::hardware_concurrency(), 1 =
+  /// serial. Every parallel path follows the deterministic-merge discipline
+  /// of util/thread_pool.hpp, so for a fixed `seed` the results are
   /// bit-identical at any thread count.
   int threads = 0;
 

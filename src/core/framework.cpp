@@ -15,100 +15,22 @@
 // entirely inapplicable answer on a non-empty graph as an out-of-contract
 // oracle and count it as a truncated loop, which withholds the Theorem B.4
 // certificate instead of issuing it falsely.
-//
-// Parallel discovery: building H'_s / H' scans every live structure's
-// vertices against the graph — the dominant per-iteration cost and pure
-// const reads on the forest (operations only happen after the oracle
-// answers). Discovery therefore fans out across cfg.threads pool workers
-// with one private candidate buffer per (participant, structure) slot —
-// each participant scans only the structure vertices whose rows it owns —
-// and the buffers merge serially in structure-id order through the
-// participation policy's pos-merge, reproducing the serial loop's
-// first-encounter index assignment exactly. The derived graphs handed to the
-// oracle — and hence matchings, op counts, and truncation decisions — are
-// bit-identical at any (participants x threads).
 
 namespace bmf {
 namespace {
 
-/// Below these sizes the pool round-trip costs more than the scan; the
-/// parallel paths degrade to inline serial loops with identical output
-/// (merges are in canonical order either way; see gated_threads). Discovery
-/// gates on both the slot count (the fan-out width: participants x
-/// structures) and the edge count (an upper bound on one iteration's total
-/// scan work).
-constexpr std::int64_t kParallelDiscoveryMinStructures = 16;
-constexpr std::int64_t kParallelDiscoveryMinEdges = 2048;
+/// Below this edge count the pool round-trip costs more than the initial
+/// matching's free-free filter; the filter then runs inline with identical
+/// output (see gated_threads).
 constexpr std::int64_t kParallelEdgeFilterMin = 2048;
-
-int discovery_thread_gate(std::int64_t slots, std::int64_t edges, int threads) {
-  return gated_threads(slots, kParallelDiscoveryMinStructures,
-                       gated_threads(edges, kParallelDiscoveryMinEdges, threads));
-}
-
-/// The shared flat policy behind the participation-less constructor; it is
-/// stateless (pass-through merge, no-op accounting), so sharing one instance
-/// across drivers and threads is safe.
-RebuildParticipation& flat_participation() {
-  static FlatRebuildParticipation flat;
-  return flat;
-}
-
-/// One structure's candidate arcs in flat scan order: a lone participant's
-/// buffer as is, otherwise the policy's splice of all buffers into `merged`.
-const std::vector<SweepArc>& merged_arcs(
-    const RebuildParticipation& participation,
-    std::span<const std::vector<SweepArc>> per_participant,
-    std::vector<SweepArc>& merged) {
-  if (per_participant.size() == 1) return per_participant[0];
-  merged.clear();
-  participation.merge(per_participant, merged);
-  return merged;
-}
 
 }  // namespace
 
-void RebuildParticipation::merge(
-    std::span<const std::vector<SweepArc>> per_participant,
-    std::vector<SweepArc>& out) const {
-  if (per_participant.size() == 1) {
-    out.insert(out.end(), per_participant[0].begin(), per_participant[0].end());
-    return;
-  }
-  // Canonical coordinator splice: each buffer is pos-ascending and the pos
-  // sets are pairwise disjoint (every scan position is owned by exactly one
-  // participant), so repeatedly taking the buffer with the smallest front pos
-  // — and draining all its arcs for that position, i.e. one scanned vertex's
-  // neighbor run — reproduces the flat scan order exactly.
-  std::size_t total = 0;
-  for (const auto& buf : per_participant) total += buf.size();
-  out.reserve(out.size() + total);
-  std::vector<std::size_t> cursor(per_participant.size(), 0);
-  for (;;) {
-    std::size_t best = per_participant.size();
-    for (std::size_t p = 0; p < per_participant.size(); ++p) {
-      if (cursor[p] >= per_participant[p].size()) continue;
-      if (best == per_participant.size() ||
-          per_participant[p][cursor[p]].pos <
-              per_participant[best][cursor[best]].pos)
-        best = p;
-    }
-    if (best == per_participant.size()) break;
-    const std::vector<SweepArc>& buf = per_participant[best];
-    std::size_t& cur = cursor[best];
-    const std::int32_t pos = buf[cur].pos;
-    while (cur < buf.size() && buf[cur].pos == pos) out.push_back(buf[cur++]);
-  }
-}
-
 FrameworkDriver::FrameworkDriver(const Graph& g, MatchingOracle& oracle,
-                                 const CoreConfig& cfg,
-                                 RebuildParticipation* participation)
+                                 const CoreConfig& cfg)
     : g_(g),
       oracle_(oracle),
       cfg_(cfg),
-      participation_(participation != nullptr ? participation
-                                              : &flat_participation()),
       right_id_(static_cast<std::size_t>(g.num_vertices()), -1) {}
 
 bool FrameworkDriver::exhaustive() const {
@@ -142,87 +64,51 @@ void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
     // Build the bipartite stage graph H'_s (Definition 5.8): left nodes are
     // working vertices of live structures at level `stage` that are neither
     // on hold nor already extended this pass-bundle; right nodes are
-    // inner/unvisited matched vertices x with label(x) > level + 1.
-    candidates_.clear();
+    // inner/unvisited matched vertices x with label(x) > level + 1. Left ids
+    // follow structure-id order, right ids first-encounter order. A left
+    // node's arcs are handled together, so a (left, right) pair repeats iff
+    // its right node is stamped with the current left id; the first witness
+    // is kept.
+    OracleGraph h;
+    std::vector<std::pair<Vertex, Vertex>> witness;  // (w, x) per H-edge
+    left_level_.clear();
+    left_edges_.assign(1, 0);
     for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
       const StructureInfo& si = forest.structure(sid);
       if (si.removed || si.on_hold || si.extended || si.working == kNoBlossom)
         continue;
       const int level = forest.outer_level(si.working);
       if (stage >= 0 && level != stage) continue;
-      candidates_.push_back({sid, level});
-    }
-
-    // Parallel discovery: each (participant, candidate) slot scans the
-    // working blossom's vertices whose rows the participant owns into a
-    // private pos-tagged buffer (const reads only). Tiny forests run inline —
-    // the pool round-trip would cost more than the scan, and the merged
-    // output is the same either way.
-    const int np = participation_->participants();
-    const bool partitioned = np > 1;
-    const auto nslots = static_cast<std::int64_t>(candidates_.size()) * np;
-    const int discovery_threads =
-        discovery_thread_gate(nslots, g_.num_edges(), cfg_.threads);
-    std::vector<std::vector<SweepArc>> slots(static_cast<std::size_t>(nslots));
-    parallel_for_threads(discovery_threads, nslots, [&](std::int64_t idx) {
-      const StageCandidate& c = candidates_[static_cast<std::size_t>(idx / np)];
-      const int shard = static_cast<int>(idx % np);
-      const int level = c.level;
-      std::vector<SweepArc>& arcs = slots[static_cast<std::size_t>(idx)];
-      std::int32_t pos = 0;
-      arena.for_each_vertex(forest.structure(c.sid).working, [&](Vertex w) {
-        const std::int32_t wp = pos++;
-        if (partitioned && participation_->owner(w) != shard) return;
+      arcs_.clear();
+      arena.for_each_vertex(si.working, [&](Vertex w) {
         for (Vertex x : g_.neighbors(w)) {
           if (forest.is_removed(x) || m.mate(x) == kNoVertex) continue;
           if (m.mate(w) == x) continue;  // g must be unmatched
           if (!forest.is_unvisited(x) && !forest.is_inner(x)) continue;
           if (forest.label(x) <= level + 1) continue;
-          arcs.push_back({wp, w, x, kNoStructure});
+          arcs_.emplace_back(w, x);
         }
       });
-    });
-
-    // Serial coordinator merge in structure-id order, participant buffers
-    // spliced per structure by scan position (the participation policy's
-    // ordering obligation): left ids in sid order, right ids in
-    // first-encounter order. A left node's arcs arrive contiguously, so a
-    // (left, right) pair repeats iff its right node is stamped with the
-    // current left id; the first witness is kept.
-    OracleGraph h;
-    std::vector<std::pair<Vertex, Vertex>> witness;  // (w, x) per H-edge
-    left_level_.clear();
-    left_edges_.assign(1, 0);
-    std::vector<SweepArc> merged;
-    std::int64_t gathered = 0;
-    for (std::size_t c = 0; c < candidates_.size(); ++c) {
-      const std::size_t base = c * static_cast<std::size_t>(np);
-      const std::vector<SweepArc>& arcs = merged_arcs(
-          *participation_,
-          std::span<const std::vector<SweepArc>>(&slots[base],
-                                                 static_cast<std::size_t>(np)),
-          merged);
-      if (arcs.empty()) continue;
-      gathered += static_cast<std::int64_t>(arcs.size());
+      if (arcs_.empty()) continue;
+      stats_.sweep_arcs += static_cast<std::int64_t>(arcs_.size());
       const auto li = static_cast<std::int32_t>(left_level_.size());
-      left_level_.push_back(candidates_[c].level);
-      for (const SweepArc& a : arcs) {
-        std::int32_t& ri = right_id_[static_cast<std::size_t>(a.x)];
+      left_level_.push_back(level);
+      for (const auto& [w, x] : arcs_) {
+        std::int32_t& ri = right_id_[static_cast<std::size_t>(x)];
         if (ri < 0) {
           ri = static_cast<std::int32_t>(right_vertex_.size());
-          right_vertex_.push_back(a.x);
+          right_vertex_.push_back(x);
           right_last_left_.push_back(-1);
         }
         std::int32_t& stamp = right_last_left_[static_cast<std::size_t>(ri)];
         if (stamp == li) continue;
         stamp = li;
         h.edges.emplace_back(li, ri);
-        witness.emplace_back(a.w, a.x);
+        witness.emplace_back(w, x);
       }
       left_edges_.push_back(h.edges.size());
     }
-    participation_->note_rebuild_gather(
-        gathered * static_cast<std::int64_t>(sizeof(SweepArc)));
+    ++stats_.sweep_rounds;
     const auto nleft = static_cast<std::int32_t>(left_level_.size());
     const auto nright = static_cast<std::int32_t>(right_vertex_.size());
     for (const Vertex x : right_vertex_) right_id_[static_cast<std::size_t>(x)] = -1;
@@ -310,64 +196,33 @@ void FrameworkDriver::run_augment_loop(StructureForest& forest) {
     std::unordered_map<StructureId, std::int32_t> index;
     std::unordered_map<std::int64_t, std::pair<Vertex, Vertex>> pair_witness;
 
-    // Parallel discovery of inter-structure outer/outer arcs, one private
-    // pos-tagged slot per (participant, structure) — each participant scans
-    // the members whose rows it owns (const reads only); tiny forests run
-    // inline.
-    const auto ns = static_cast<std::int64_t>(forest.num_structures());
-    const int np = participation_->participants();
-    const bool partitioned = np > 1;
-    const std::int64_t nslots = ns * np;
-    const int discovery_threads =
-        discovery_thread_gate(nslots, g_.num_edges(), cfg_.threads);
-    std::vector<std::vector<SweepArc>> slots(static_cast<std::size_t>(nslots));
-    parallel_for_threads(discovery_threads, nslots, [&](std::int64_t idx) {
-      const auto sid = static_cast<StructureId>(idx / np);
-      const int shard = static_cast<int>(idx % np);
+    // Inter-structure outer/outer arcs in structure-id order, members in
+    // order: index assignment and witness selection (first arc per structure
+    // pair wins) follow this scan.
+    for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
       const StructureInfo& si = forest.structure(sid);
-      if (si.removed) return;
-      std::vector<SweepArc>& arcs = slots[static_cast<std::size_t>(idx)];
-      std::int32_t pos = 0;
+      if (si.removed) continue;
       for (Vertex w : si.members) {
-        const std::int32_t wp = pos++;
-        if (partitioned && participation_->owner(w) != shard) continue;
         if (!forest.is_outer(w)) continue;
         for (Vertex x : g_.neighbors(w)) {
           if (forest.is_removed(x)) continue;
           const StructureId sx = forest.structure_of(x);
           if (sx == kNoStructure || sx == sid || !forest.is_outer(x)) continue;
-          arcs.push_back({wp, w, x, sx});
+          ++stats_.sweep_arcs;
+          const auto ia =
+              index.emplace(sid, static_cast<std::int32_t>(index.size()))
+                  .first->second;
+          const auto ib =
+              index.emplace(sx, static_cast<std::int32_t>(index.size()))
+                  .first->second;
+          const std::int64_t key =
+              static_cast<std::int64_t>(std::min(ia, ib)) * (1LL << 31) +
+              std::max(ia, ib);
+          pair_witness.emplace(key, std::make_pair(w, x));
         }
       }
-    });
-
-    // Serial coordinator merge in structure-id order (buffers spliced per
-    // structure by member position): index assignment and witness selection
-    // (first arc per structure pair wins) match the serial scan.
-    std::vector<SweepArc> merged;
-    std::int64_t gathered = 0;
-    for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
-      const auto base = static_cast<std::size_t>(sid) * static_cast<std::size_t>(np);
-      const std::vector<SweepArc>& arcs = merged_arcs(
-          *participation_,
-          std::span<const std::vector<SweepArc>>(&slots[base],
-                                                 static_cast<std::size_t>(np)),
-          merged);
-      gathered += static_cast<std::int64_t>(arcs.size());
-      for (const SweepArc& a : arcs) {
-        const auto ia = index.emplace(sid, static_cast<std::int32_t>(index.size()))
-                            .first->second;
-        const auto ib =
-            index.emplace(a.sx, static_cast<std::int32_t>(index.size()))
-                .first->second;
-        const std::int64_t key =
-            static_cast<std::int64_t>(std::min(ia, ib)) * (1LL << 31) +
-            std::max(ia, ib);
-        pair_witness.emplace(key, std::make_pair(a.w, a.x));
-      }
     }
-    participation_->note_rebuild_gather(
-        gathered * static_cast<std::int64_t>(sizeof(SweepArc)));
+    ++stats_.sweep_rounds;
     if (pair_witness.empty()) break;
 
     OracleGraph h;

@@ -14,39 +14,15 @@
 /// 4-approximate initial matching with O(c) oracle calls (Lemma 5.3) and then
 /// runs the phase engine with this driver.
 ///
-/// The driver's derived-graph construction — the dominant per-iteration cost
-/// of both simulations — fans out across `cfg.threads` pool workers: every
-/// live structure scans its neighborhoods into a private candidate buffer
-/// (const reads only; operations are applied after the oracle answers), and
-/// buffers merge serially in structure-id order so the H' / H'_s handed to
-/// the oracle is bit-identical at any thread count. This is what makes the
-/// Theorem 6.2 rebuild inside the dynamic matcher parallel: its exhaustion
-/// sweeps run through this driver.
-///
-/// ## Rebuild participation (the storage-layout fan-out surface)
-///
-/// When the driver runs inside a dynamic rebuild, the graph it scans is a
-/// frozen snapshot of a storage layout that may be sharded. The
-/// `RebuildParticipation` interface below lets that layout participate in the
-/// discovery sweeps as a first-class policy instead of the driver reaching
-/// around the store: discovery fans out per (participant x structure), each
-/// participant scans only the structure vertices whose rows it owns into a
-/// private pos-tagged buffer, and the coordinator splices the buffers per
-/// structure through the `merge` hook — in (shard-id, structure-id) slot
-/// order, resolved within a structure by scan position. The position tags are
-/// load-bearing: a structure's flat vertex scan (blossom order) is *not*
-/// ascending by vertex id, so owner-major concatenation would reorder
-/// candidates; merging by pos reproduces the flat emission order exactly,
-/// keeping matchings, op counts, and truncation decisions bit-identical to
-/// the single-participant sweep at every (participants x threads).
-/// `FlatRebuildParticipation` is the trivial single-participant case and the
-/// default when no participation is supplied.
+/// Each simulation iteration builds its derived graph (H'_s or H') in one
+/// serial sweep over the live structures in structure-id order. The
+/// Theorem 6.2 rebuild inside the dynamic matcher runs its exhaustion sweeps
+/// through this driver.
 
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -58,88 +34,16 @@
 
 namespace bmf {
 
-/// One candidate arc emitted by a participant's share of a discovery sweep.
-/// `pos` is the index of the scanning vertex `w` in the structure's flat
-/// vertex scan (blossom-vertex order for H'_s stages, member order for the
-/// H' augment sweep) — the coordinator's merge key (see the file comment).
-struct SweepArc {
-  std::int32_t pos = 0;
-  Vertex w = kNoVertex;
-  Vertex x = kNoVertex;
-  StructureId sx = kNoStructure;  ///< peer structure (augment sweeps only)
-};
-
-/// How a storage layout takes part in the rebuild's H'/H'_s discovery
-/// sweeps. Implementations must satisfy the merge-order determinism
-/// obligation: `merge` must splice per-participant buffers (each ascending in
-/// pos, with pairwise-disjoint pos sets — every scan position is owned by
-/// exactly one participant) into ascending-pos order, reproducing the flat
-/// scan's emission order exactly. The default implementation is that
-/// canonical cursor merge; overrides exist for accounting, not ordering.
-///
-/// The `note_*` hooks are the coordinator message ledger (CommStats,
-/// replay_core.hpp): `note_rebuild_begin` is invoked once per Theorem 6.2
-/// boost with the frozen snapshot it distributes, `note_rebuild_gather` once
-/// per discovery sweep iteration with the candidate bytes gathered across
-/// the boundary. Single-participant layouts keep both as no-ops.
-class RebuildParticipation {
- public:
-  virtual ~RebuildParticipation() = default;
-
-  /// Number of participants (>= 1); 1 is the flat single-participant case.
-  [[nodiscard]] virtual int participants() const = 0;
-  /// Owning participant of vertex v's adjacency row, in [0, participants()).
-  [[nodiscard]] virtual int owner(Vertex v) const = 0;
-  /// Splices one structure's per-participant candidate buffers into `out` in
-  /// flat scan order (ascending pos). See the class comment for the
-  /// obligation; the default implementation is the canonical merge. The
-  /// sweeps call it only when participants() > 1; a lone participant's
-  /// buffer is already in scan order and is read in place.
-  virtual void merge(std::span<const std::vector<SweepArc>> per_participant,
-                     std::vector<SweepArc>& out) const;
-  /// One Theorem 6.2 boost begins: the coordinator distributes the frozen
-  /// snapshot's rows to their owners. Default: no accounting.
-  virtual void note_rebuild_begin(const Graph& snapshot) { (void)snapshot; }
-  /// One discovery sweep iteration gathered `bytes` bytes of candidate
-  /// buffers at the coordinator. Default: no accounting.
-  virtual void note_rebuild_gather(std::int64_t bytes) { (void)bytes; }
-};
-
-/// The trivial single-participant RebuildParticipation: one owner for every
-/// row, pass-through merge, no message accounting. Stateless, so one instance
-/// may be shared across threads.
-class FlatRebuildParticipation final : public RebuildParticipation {
- public:
-  [[nodiscard]] int participants() const override { return 1; }
-  [[nodiscard]] int owner(Vertex /*v*/) const override { return 0; }
-};
-
-/// The compile-time face of the participation contract: a type usable where
-/// the rebuild sweeps expect a participation policy. Derivation from
-/// `RebuildParticipation` carries the virtual dispatch the driver uses; the
-/// requires-clause re-states the load-bearing surface so a policy that
-/// shadows (rather than overrides) a member is rejected at the concept, with
-/// a readable diagnostic, instead of at an eventual wrong vtable call. The
-/// semantic half of the contract — `merge` reproduces flat scan order
-/// exactly — stays with the class comment above; concepts check shape only.
-template <class P>
-concept RebuildParticipationPolicy =
-    std::derived_from<P, RebuildParticipation> &&
-    requires(const P& p, Vertex v, std::span<const std::vector<SweepArc>> bufs,
-             std::vector<SweepArc>& out) {
-      { p.participants() } -> std::convertible_to<int>;
-      { p.owner(v) } -> std::convertible_to<int>;
-      p.merge(bufs, out);
-    };
-
-static_assert(RebuildParticipationPolicy<FlatRebuildParticipation>,
-              "FlatRebuildParticipation must model RebuildParticipationPolicy");
-
 struct FrameworkStats {
   std::int64_t stage_loops = 0;       ///< (stage, pass-bundle) pairs simulated
   std::int64_t stage_iterations = 0;  ///< oracle iterations inside Algorithm 5
   std::int64_t ca_iterations = 0;     ///< oracle iterations inside Algorithm 4
   std::int64_t truncated_loops = 0;   ///< loops cut by the paper's fixed bound
+  /// Discovery sweeps over H'_s and H': one per oracle iteration, plus one
+  /// for each loop that ended on a derived graph with no edge.
+  std::int64_t sweep_rounds = 0;
+  /// Candidate arcs those sweeps found, before the first-witness dedupe.
+  std::int64_t sweep_arcs = 0;
 };
 
 /// Observation hook for the Figure-3 benchmark: reports the size of the
@@ -155,11 +59,7 @@ using IterationObserver = std::function<void(const IterationObservation&)>;
 
 class FrameworkDriver final : public PassBundleDriver {
  public:
-  /// `participation` selects the rebuild-participation policy the discovery
-  /// sweeps fan out through; nullptr means the flat single-participant case
-  /// (static pipelines, tests). The policy object must outlive the driver.
-  FrameworkDriver(const Graph& g, MatchingOracle& oracle, const CoreConfig& cfg,
-                  RebuildParticipation* participation = nullptr);
+  FrameworkDriver(const Graph& g, MatchingOracle& oracle, const CoreConfig& cfg);
 
   void extend_active_path(StructureForest& forest) override;
   /// Algorithm 4: run_local_contractions, then run_augment_loop.
@@ -177,12 +77,6 @@ class FrameworkDriver final : public PassBundleDriver {
   void set_observer(IterationObserver obs) { observer_ = std::move(obs); }
 
  private:
-  /// A live structure whose working vertex may be a left node of H'_s.
-  struct StageCandidate {
-    StructureId sid = kNoStructure;
-    int level = 0;  ///< outer_level of the working vertex
-  };
-
   /// One stage of Algorithm 5 (or the unsplit [FMU22]-style variant when
   /// cfg.stage_split is false and stage < 0).
   void run_stage(StructureForest& forest, int stage);
@@ -190,14 +84,13 @@ class FrameworkDriver final : public PassBundleDriver {
   const Graph& g_;
   MatchingOracle& oracle_;
   const CoreConfig& cfg_;
-  RebuildParticipation* participation_;  ///< never null (flat fallback)
   FrameworkStats stats_;
   IterationObserver observer_;
 
   // Scratch reused across sweep iterations, O(n) each. H'_s right ids are
   // vertex-indexed; the touched list `right_vertex_` (right id -> vertex)
   // resets them after every iteration.
-  std::vector<StageCandidate> candidates_;
+  std::vector<std::pair<Vertex, Vertex>> arcs_;  ///< one left node's (w, x) arcs
   std::vector<std::int32_t> right_id_;         ///< vertex -> right id, or -1
   std::vector<Vertex> right_vertex_;           ///< right id -> vertex
   std::vector<std::int32_t> right_last_left_;  ///< right id -> last left id

@@ -19,6 +19,10 @@ void accumulate(OpCounts& into, const OpCounts& from) {
 BoostOutcome PhaseEngine::run(Matching& m, PassBundleDriver& driver) const {
   BMF_REQUIRE(m.num_vertices() == g_.num_vertices(),
               "PhaseEngine::run: matching size mismatch");
+  // Written so NaN fails too: a NaN eps makes last_scale() NaN (the scale
+  // loop never ends) and the phase / bundle caps undefined integer casts.
+  BMF_REQUIRE(cfg_.eps > 0 && cfg_.eps <= 1,
+              "PhaseEngine::run: eps must be in (0, 1]");
   BoostOutcome out;
   for (double h = CoreConfig::first_scale();; h /= 2.0) {
     ++out.scales;

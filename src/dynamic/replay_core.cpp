@@ -16,12 +16,11 @@ void validate_core_config(const DynamicCoreConfig& cfg, int shards,
 }
 
 DynamicCoreConfig resolve_core_config(DynamicCoreConfig cfg) {
-  // The rebuild engine runs at eps/2 on the shared seed/threads knobs, so
-  // rebuild trajectories line up bit for bit across engines and thread
-  // counts (parallelism never changes results, so forcing it is safe).
+  // The rebuild engine runs at eps/2 on the shared seed, so rebuild
+  // trajectories line up bit for bit across engines. `threads` is not
+  // forwarded: no dynamic-engine code reads it (see DynamicCoreConfig).
   cfg.sim.core.eps = cfg.eps / 2.0;
   cfg.sim.core.seed = cfg.seed;
-  cfg.sim.core.threads = cfg.threads;
   return cfg;
 }
 

@@ -28,18 +28,11 @@
 ///   WeakOracle& oracle();
 ///   bool toggle(const EdgeUpdate&);   // adjacency + oracle; true iff the
 ///                                     // update changed edge presence
-///   // Rebuild participation (core/framework.hpp): the policy object the
-///   // Theorem 6.2 boost's H'/H'_s exhaustion sweeps fan out through —
-///   // shard-local candidate sweeps merged by the coordinator in canonical
-///   // order. Flat stores return the trivial single-participant policy. The
-///   // returned object must outlive the store; the core passes it into
-///   // every static_weak_boost call (so the rebuild path drives the store's
-///   // policy instead of reaching around it into FrameworkDriver):
-///   RebuildParticipation& rebuild_participation();
-///   // Coordinator message ledger (CommStats below), folded across the
-///   // store's state slices (participation + oracle + update routing);
-///   // all-zero for single-participant layouts:
-///   CommStats comm_stats() const;
+///   // Coordinator message ledger (CommStats below): the store's own
+///   // traffic (update routing, oracle query gathers) plus its price for
+///   // the core's rebuilds, computed from the core's RebuildStats; all-zero
+///   // for single-shard layouts:
+///   CommStats comm_stats(const RebuildStats&) const;
 ///
 /// Stores only ever see updates the core has already checked with
 /// `valid_update`, and `toggle` never sees an empty one. Everything else —
@@ -80,10 +73,9 @@ struct DynamicCoreConfig {
   /// Updates between rebuilds; 0 = adaptive max(1, floor(eps*|M|/4)).
   std::int64_t rebuild_every = 0;
   std::uint64_t seed = 1;
-  /// Thread-pool fan-out for the Theorem 6.2 rebuild's internal H'/H'_s
-  /// discovery (forced into `sim.core.threads`) and for the sharded oracle's
-  /// speculative probes; 0 = hardware concurrency, 1 = serial. Updates are
-  /// always applied one at a time. Results are bit-identical at any setting.
+  /// Validated (>= 0) but read by no dynamic-engine code: updates and
+  /// rebuilds run on the calling thread. Kept only because perfbench/ sets
+  /// it; it goes with the next change to perfbench/.
   int threads = 0;
 };
 
@@ -92,8 +84,8 @@ struct DynamicCoreConfig {
 /// the message. shards > n is legal — trailing shards own empty ranges.
 void validate_core_config(const DynamicCoreConfig& cfg, int shards, const char* who);
 
-/// `cfg` with the rebuild simulation forced onto the shared eps/seed/threads
-/// knobs, so rebuild trajectories line up bit for bit across engines.
+/// `cfg` with the rebuild simulation forced onto the shared eps/seed knobs,
+/// so rebuild trajectories line up bit for bit across engines.
 [[nodiscard]] DynamicCoreConfig resolve_core_config(DynamicCoreConfig cfg);
 
 /// True iff `up` is legal for an engine over `n` vertices: an empty update,
@@ -108,8 +100,8 @@ void validate_core_config(const DynamicCoreConfig& cfg, int shards, const char* 
 /// Coordinator message ledger: bytes and rounds crossing the shard boundary,
 /// split between the update path (routing each toggled update's directed
 /// copies to their shard slices) and the rebuild path (snapshot
-/// distribution, discovery-sweep candidate gathers, oracle probe gathers).
-/// Stores with a single participant report all zeros — the flat engine and a
+/// distribution, discovery-sweep candidate gathers, oracle query gathers).
+/// Stores with a single shard report all zeros — the flat engine and a
 /// sharded engine at shards = 1 both have no boundary to cross. The ledger
 /// counts the messages the store actually models; serial coordinator reads
 /// inside a rebuild (in-structure sweeps, local contractions) are
@@ -136,12 +128,16 @@ struct CommStats {
 /// Theorem 6.2 rebuild counters folded across every boost the core ran.
 /// Part of the determinism contract:
 /// bit-identical across engines, shards, threads, and batch sizes for a fixed
-/// stream x config — unlike CommStats, which is per-cell only.
+/// stream x config — unlike CommStats, which is per-cell only. The last three
+/// are what a store prices its rebuild-side ledger from.
 struct RebuildStats {
   std::int64_t rebuilds = 0;
   std::int64_t weak_calls = 0;  ///< == engine weak_calls(): only rebuilds query
   std::int64_t sampled_iterations = 0;
   std::int64_t certified = 0;  ///< boosts that ended with the B.4 certificate
+  std::int64_t snapshot_edges = 0;  ///< edges of every rebuild's snapshot
+  std::int64_t sweep_rounds = 0;    ///< exhaustion-sweep discovery iterations
+  std::int64_t sweep_arcs = 0;      ///< candidate arcs those sweeps found
   friend bool operator==(const RebuildStats&, const RebuildStats&) = default;
 };
 
@@ -184,13 +180,8 @@ concept HasToggle = requires(S& s, const EdgeUpdate& up) {
 };
 
 template <class S>
-concept HasRebuildParticipation = requires(S& s) {
-  { s.rebuild_participation() } -> std::convertible_to<RebuildParticipation&>;
-};
-
-template <class S>
-concept HasCommStats = requires(const S& s) {
-  { s.comm_stats() } -> std::same_as<CommStats>;
+concept HasCommStats = requires(const S& s, const RebuildStats& r) {
+  { s.comm_stats(r) } -> std::same_as<CommStats>;
 };
 
 }  // namespace store_contract
@@ -198,15 +189,14 @@ concept HasCommStats = requires(const S& s) {
 /// The AdjacencyStore policy contract (file comment above) as a C++20
 /// concept: exactly the surface `DynamicReplayCore` drives. The concept
 /// checks shape; the semantic obligations (ascending `neighbors`, snapshot
-/// order == DynGraph order, `toggle`'s changed-presence return, participation
-/// merge order) stay prose — they are pinned by the differential harness,
-/// not the type system.
+/// order == DynGraph order, `toggle`'s changed-presence return) stay prose —
+/// they are pinned by the differential harness, not the type system.
 template <class S>
 concept AdjacencyStorePolicy =
     store_contract::HasNumVertices<S> && store_contract::HasHasEdge<S> &&
     store_contract::HasNeighbors<S> && store_contract::HasSnapshot<S> &&
     store_contract::HasOracle<S> && store_contract::HasToggle<S> &&
-    store_contract::HasRebuildParticipation<S> && store_contract::HasCommStats<S>;
+    store_contract::HasCommStats<S>;
 
 /// The flat single-node AdjacencyStore policy: a `DynGraph` plus a borrowed
 /// `WeakOracle`. `DynamicMatcher` is a facade over
@@ -235,19 +225,16 @@ class FlatAdjacencyStore {
     return true;
   }
 
-  /// The trivial single-participant policy: every rebuild sweep scans the
-  /// whole snapshot at the coordinator, nothing crosses a boundary.
-  [[nodiscard]] RebuildParticipation& rebuild_participation() {
-    return participation_;
+  /// One node: nothing crosses a boundary.
+  [[nodiscard]] CommStats comm_stats(const RebuildStats& /*rebuilt*/) const {
+    return {};
   }
-  [[nodiscard]] CommStats comm_stats() const { return {}; }
 
   [[nodiscard]] const DynGraph& graph() const { return g_; }
 
  private:
   DynGraph g_;
   WeakOracle& oracle_;
-  FlatRebuildParticipation participation_;
 };
 
 static_assert(AdjacencyStorePolicy<FlatAdjacencyStore>,
@@ -277,11 +264,9 @@ class DynamicReplayCore {
   static_assert(store_contract::HasToggle<Store>,
                 "AdjacencyStore contract: missing "
                 "'bool toggle(const EdgeUpdate&)'");
-  static_assert(store_contract::HasRebuildParticipation<Store>,
-                "AdjacencyStore contract: missing "
-                "'RebuildParticipation& rebuild_participation()'");
   static_assert(store_contract::HasCommStats<Store>,
-                "AdjacencyStore contract: missing 'CommStats comm_stats() const'");
+                "AdjacencyStore contract: missing "
+                "'CommStats comm_stats(const RebuildStats&) const'");
   static_assert(AdjacencyStorePolicy<Store>,
                 "Store does not model bmf::AdjacencyStorePolicy "
                 "(see src/dynamic/replay_core.hpp)");
@@ -386,12 +371,15 @@ class DynamicReplayCore {
 
   void rebuild() {
     const Graph snapshot = store_.snapshot();
-    WeakBoostResult boosted = static_weak_boost(
-        snapshot, m_, store_.oracle(), cfg_.sim, &store_.rebuild_participation());
+    WeakBoostResult boosted =
+        static_weak_boost(snapshot, m_, store_.oracle(), cfg_.sim);
     ++rebuild_stats_.rebuilds;
     rebuild_stats_.weak_calls += boosted.weak_calls;
     rebuild_stats_.sampled_iterations += boosted.sampled_iterations;
     if (boosted.outcome.certified) ++rebuild_stats_.certified;
+    rebuild_stats_.snapshot_edges += snapshot.num_edges();
+    rebuild_stats_.sweep_rounds += boosted.sweep_rounds;
+    rebuild_stats_.sweep_arcs += boosted.sweep_arcs;
     m_ = std::move(boosted.matching);
   }
 

@@ -167,7 +167,7 @@ class ReplayEngineFacade : public ReplayEngine {
     return self().core_.rebuild_stats();
   }
   [[nodiscard]] CommStats comm_stats() const final {
-    return self().store_.comm_stats();
+    return self().store_.comm_stats(self().core_.rebuild_stats());
   }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bmf {
 
@@ -20,8 +19,8 @@ VertexPartition::VertexPartition(Vertex n, int shards)
 
 // ------------------------------------------------------- ShardedMatrixOracle
 
-ShardedMatrixOracle::ShardedMatrixOracle(Vertex n, int shards, int threads)
-    : part_(n, shards), threads_(threads) {
+ShardedMatrixOracle::ShardedMatrixOracle(Vertex n, int shards)
+    : part_(n, shards) {
   slices_.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s)
     slices_.emplace_back(part_.size(s), n);
@@ -44,50 +43,25 @@ bool ShardedMatrixOracle::bit(Vertex u, Vertex v) const {
   return slices_[static_cast<std::size_t>(su)].get(u - part_.begin(su), v);
 }
 
-std::int64_t ShardedMatrixOracle::probe(Vertex u, const BitVec& mask,
-                                        std::int64_t* words) const {
-  const int s = part_.owner(u);
-  std::int64_t scanned = 0;
-  const std::int64_t col = slices_[static_cast<std::size_t>(s)].first_common_in_row(
-      u - part_.begin(s), mask, &scanned);
-  *words += scanned;
-  return col;
-}
-
 WeakQueryResult ShardedMatrixOracle::greedy(std::span<const Vertex> rows,
                                             BitVec& avail, bool consume_plus,
                                             double delta) {
-  const auto count = static_cast<std::int64_t>(rows.size());
-  // Speculative shard-local candidate scan against the pre-commit mask:
-  // every row probes concurrently, results land in per-row slots.
-  std::vector<std::int64_t> cand(rows.size(), -1), words(rows.size(), 0);
-  parallel_for_threads(gated_threads(count, 16, threads_), count,
-                       [&](std::int64_t i) {
-                         const auto k = static_cast<std::size_t>(i);
-                         cand[k] = probe(rows[k], avail, &words[k]);
-                       });
-  for (const std::int64_t w : words) words_touched_ += w;
-  // The speculative per-row probe results travel from their owning shards to
-  // the serial commit below: one candidate slot per row, one gather round per
-  // query. (Inline re-probes are coordinator-side reads of already-gathered
-  // rows and are not recharged.) Nothing crosses at a single shard.
+  // Each row is probed by its owning shard and the results travel to the
+  // greedy commit at the coordinator: one slot per row, one gather round per
+  // query. Nothing crosses at a single shard.
   if (part_.shards() > 1) {
-    query_gather_bytes_ +=
-        count * static_cast<std::int64_t>(sizeof(std::int64_t));
+    query_gather_bytes_ += static_cast<std::int64_t>(rows.size()) *
+                           static_cast<std::int64_t>(sizeof(std::int64_t));
     ++query_gather_rounds_;
   }
-
-  // Serial greedy commit in row order. The mask only shrinks, so a
-  // speculative candidate that is still available equals the live mask's
-  // first common neighbor (its scan prefix is unchanged); a stale candidate
-  // re-probes inline, which is verbatim the serial greedy's probe at this
-  // row's turn. A -1 stays -1 against any smaller mask.
   WeakQueryResult out;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Vertex u = rows[i];
+  for (const Vertex u : rows) {
     if (consume_plus && !avail.get(u)) continue;
-    std::int64_t c = cand[i];
-    if (c >= 0 && !avail.get(c)) c = probe(u, avail, &words_touched_);
+    const int s = part_.owner(u);
+    std::int64_t scanned = 0;
+    const std::int64_t c = slices_[static_cast<std::size_t>(s)].first_common_in_row(
+        u - part_.begin(s), avail, &scanned);
+    words_touched_ += scanned;
     if (c < 0) continue;
     out.matching.push_back({u, static_cast<Vertex>(c)});
     if (consume_plus) avail.set(u, false);
@@ -121,7 +95,7 @@ WeakQueryResult ShardedMatrixOracle::query_cover_impl(
 ShardedAdjacencyStore::ShardedAdjacencyStore(const VertexPartition& part,
                                              ShardedMatrixOracle& oracle)
     : part_(part), slices_(static_cast<std::size_t>(part.shards())),
-      oracle_(oracle), participation_(part) {
+      oracle_(oracle) {
   for (int s = 0; s < part_.shards(); ++s)
     slices_[static_cast<std::size_t>(s)].resize(
         static_cast<std::size_t>(part_.size(s)));
@@ -187,6 +161,19 @@ bool ShardedAdjacencyStore::toggle(const EdgeUpdate& up) {
   return true;
 }
 
+CommStats ShardedAdjacencyStore::comm_stats(const RebuildStats& rebuilt) const {
+  if (part_.shards() <= 1) return {};
+  CommStats out;
+  out.batch_bytes = batch_bytes_;
+  out.batch_rounds = batch_rounds_;
+  out.rebuild_bytes =
+      2 * static_cast<std::int64_t>(sizeof(Vertex)) * rebuilt.snapshot_edges +
+      kSweepArcBytes * rebuilt.sweep_arcs + oracle_.query_gather_bytes();
+  out.rebuild_rounds = rebuilt.rebuilds + rebuilt.sweep_rounds +
+                       oracle_.query_gather_rounds();
+  return out;
+}
+
 void ShardedAdjacencyStore::charge_route() {
   if (part_.shards() <= 1) return;
   batch_bytes_ += 2 * static_cast<std::int64_t>(sizeof(ShardOp));
@@ -207,7 +194,7 @@ const ShardedMatcherConfig& validated(const ShardedMatcherConfig& cfg) {
 ShardedDynamicMatcher::ShardedDynamicMatcher(Vertex n,
                                              const ShardedMatcherConfig& cfg)
     : part_(n, validated(cfg).shards),
-      oracle_(n, cfg.shards, cfg.threads),
+      oracle_(n, cfg.shards),
       store_(part_, oracle_),
       core_(store_, resolve_core_config(cfg)) {}
 

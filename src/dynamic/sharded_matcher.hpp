@@ -33,39 +33,14 @@
 /// That holds because every ingredient reproduces the sequential decision
 /// sequence exactly: shard slices store neighbors ascending (so neighbor
 /// scans and `snapshot()` equal DynGraph's), the decision machinery is the
-/// one shared core, and the sharded oracle answers queries bit-identically
-/// to MatrixWeakOracle (below).
-///
-/// ## Sharded masked row probes (the A_weak serial fraction)
-///
-/// `MatrixWeakOracle::query_impl` is a serial greedy over S: probe row u
-/// against the availability mask, commit, shrink the mask. PR 3 exposed that
-/// loop as a visible serial fraction of rebuild time. ShardedMatrixOracle
-/// parallelizes it with a speculative scan + serial commit:
-///
-///  1. every row of S is probed concurrently (shard-local rows, grouped by
-///     owning shard) against the *pre-query* availability mask;
-///  2. a serial greedy commit walks S in order: a vertex already consumed is
-///     skipped, a speculative candidate that is still available commits, a
-///     stale candidate (consumed by an earlier commit) re-probes inline
-///     against the live mask.
-///
-/// Availability only shrinks, so a still-available speculative candidate is
-/// provably the live mask's first common neighbor too (min over a superset
-/// that still contains it) — the commit sequence equals the serial greedy's
-/// choice for choice, and answers are bit-identical to MatrixWeakOracle at
-/// any shard/thread count. `words_touched()` charges the words the probes
-/// actually scan (speculative, inline, and wasted scans alike), so it is
-/// deterministic for a given engine but — unlike matchings and call counts —
-/// legitimately differs from the serial oracle's count, which never probes
-/// speculatively.
+/// one shared core, and the sharded oracle runs MatrixWeakOracle's greedy
+/// over shard-owned rows (below), probe for probe.
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "core/framework.hpp"
 #include "dynamic/replay_core.hpp"
 #include "dynamic/replay_engine.hpp"
 #include "dynamic/weak_oracle.hpp"
@@ -106,47 +81,10 @@ class VertexPartition {
   Vertex block_;
 };
 
-/// The vertex-partition RebuildParticipation policy (core/framework.hpp):
-/// each shard scans the snapshot rows of the vertices it owns into a private
-/// pos-tagged candidate buffer, merged by the coordinator with the canonical
-/// ascending-pos splice — so ordering is inherited, and this class only adds
-/// the rebuild-side message accounting. `note_rebuild_begin` charges the
-/// snapshot distribution (both directed copies of every edge travel to their
-/// row owners), `note_rebuild_gather` one coordinator gather round per
-/// discovery sweep iteration. At shards = 1 nothing crosses a boundary and
-/// both hooks charge nothing, keeping the k = 1 engine's ledger all-zero.
-///
-/// Thread safety: the counters are written only by the caller thread that
-/// runs the Theorem 6.2 boost, outside any parallel region — the
-/// words_touched_ single-writer discipline; no lock.
-class ShardedRebuildParticipation final : public RebuildParticipation {
- public:
-  explicit ShardedRebuildParticipation(const VertexPartition& part)
-      : part_(part) {}
-
-  [[nodiscard]] int participants() const override { return part_.shards(); }
-  [[nodiscard]] int owner(Vertex v) const override { return part_.owner(v); }
-
-  void note_rebuild_begin(const Graph& snapshot) override {
-    if (part_.shards() <= 1) return;
-    bytes_ += 2 * snapshot.num_edges() *
-              static_cast<std::int64_t>(sizeof(Vertex));
-    ++rounds_;
-  }
-  void note_rebuild_gather(std::int64_t bytes) override {
-    if (part_.shards() <= 1) return;
-    bytes_ += bytes;
-    ++rounds_;
-  }
-
-  [[nodiscard]] std::int64_t bytes() const { return bytes_; }
-  [[nodiscard]] std::int64_t rounds() const { return rounds_; }
-
- private:
-  const VertexPartition& part_;
-  std::int64_t bytes_ = 0;
-  std::int64_t rounds_ = 0;
-};
+/// Bytes one exhaustion-sweep candidate arc costs to gather at the
+/// coordinator: four int32 fields, namely the arc's scan position, both
+/// endpoints and the peer structure.
+inline constexpr std::int64_t kSweepArcBytes = 16;
 
 /// One directed copy of a toggled update, owned by the shard holding
 /// `vertex`'s row: the message unit of the update-path comm ledger (each
@@ -156,11 +94,12 @@ struct ShardOp {
   bool insert;
 };
 
-/// A_weak over shard-owned bit-matrix row ranges; answers bit-identical to
-/// MatrixWeakOracle (see the file comment for the speculative-probe scheme).
+/// A_weak over shard-owned bit-matrix row ranges: MatrixWeakOracle's serial
+/// probe-and-commit greedy, each row probed in its owning shard's slice, so
+/// answers and words_touched() equal MatrixWeakOracle's.
 class ShardedMatrixOracle final : public WeakOracle {
  public:
-  ShardedMatrixOracle(Vertex n, int shards, int threads);
+  ShardedMatrixOracle(Vertex n, int shards);
 
   [[nodiscard]] double lambda() const override { return 0.5; }
   void on_insert(Vertex u, Vertex v) override;
@@ -170,14 +109,13 @@ class ShardedMatrixOracle final : public WeakOracle {
   [[nodiscard]] const VertexPartition& partition() const { return part_; }
   [[nodiscard]] bool bit(Vertex u, Vertex v) const;
 
-  /// Words of row data scanned by probes (speculative + inline re-probes) —
-  /// exact, monotone, and thread-count invariant for a fixed shard count.
+  /// Words of row data the probes scanned; equals MatrixWeakOracle's count
+  /// on the same queries at every shard count.
   [[nodiscard]] std::int64_t words_touched() const { return words_touched_; }
 
-  /// Rebuild-query gather traffic: each A_weak query's speculative probe
-  /// results travel from their owning shards to the serial commit at the
-  /// coordinator (one slot per row, one round per query). Zero at shards = 1.
-  /// Same single-writer discipline as words_touched_ (the boost thread).
+  /// Rebuild-query gather traffic: each A_weak query's probe results travel
+  /// from their owning shards to the greedy commit at the coordinator (one
+  /// slot per row, one round per query). Zero at shards = 1.
   [[nodiscard]] std::int64_t query_gather_bytes() const {
     return query_gather_bytes_;
   }
@@ -192,20 +130,14 @@ class ShardedMatrixOracle final : public WeakOracle {
                                    double delta) override;
 
  private:
-  /// first_common_in_row of u's owned row against mask; adds the words
-  /// scanned to *words.
-  [[nodiscard]] std::int64_t probe(Vertex u, const BitVec& mask,
-                                   std::int64_t* words) const;
-  /// The shared speculative-scan + serial-greedy-commit engine behind both
-  /// query flavors; `consume_plus` distinguishes G[S] greedy (both endpoints
-  /// leave the mask, consumed rows skip) from cover greedy (only the minus
-  /// copy leaves the mask, every plus row probes).
+  /// The greedy behind both query flavors; `consume_plus` distinguishes G[S]
+  /// greedy (both endpoints leave the mask, consumed rows skip) from cover
+  /// greedy (only the minus copy leaves the mask, every plus row probes).
   WeakQueryResult greedy(std::span<const Vertex> rows, BitVec& avail,
                          bool consume_plus, double delta);
 
   VertexPartition part_;
   std::vector<BitMatrix> slices_;  ///< shard s: size(s) x n rows
-  int threads_;
   std::int64_t words_touched_ = 0;
   std::int64_t query_gather_bytes_ = 0;
   std::int64_t query_gather_rounds_ = 0;
@@ -229,22 +161,14 @@ class ShardedAdjacencyStore {
 
   bool toggle(const EdgeUpdate& up);
 
-  /// The vertex-partition participation policy the core hands to every
-  /// Theorem 6.2 boost (replay_core.hpp contract).
-  [[nodiscard]] RebuildParticipation& rebuild_participation() {
-    return participation_;
-  }
-  /// Folds the store's boundary traffic — update routing (charged here),
-  /// rebuild snapshot/gather rounds (participation_), and rebuild-query probe
-  /// gathers (the oracle) — into one ledger. All-zero at shards = 1.
-  [[nodiscard]] CommStats comm_stats() const {
-    CommStats out;
-    out.batch_bytes = batch_bytes_;
-    out.batch_rounds = batch_rounds_;
-    out.rebuild_bytes = participation_.bytes() + oracle_.query_gather_bytes();
-    out.rebuild_rounds = participation_.rounds() + oracle_.query_gather_rounds();
-    return out;
-  }
+  /// Folds the store's boundary traffic into one ledger; all-zero at
+  /// shards = 1. The update side is the routing charged by `toggle`. The
+  /// rebuild side prices the core's `rebuilt` counters: each rebuild sends
+  /// both directed copies of every snapshot edge to their row owners (one
+  /// round), and each exhaustion-sweep iteration gathers its candidate arcs
+  /// at the coordinator (one round, kSweepArcBytes per arc); the oracle's
+  /// query gathers are added as they were charged.
+  [[nodiscard]] CommStats comm_stats(const RebuildStats& rebuilt) const;
 
   [[nodiscard]] std::int64_t num_edges() const { return m_edges_; }
 
@@ -263,7 +187,6 @@ class ShardedAdjacencyStore {
   std::vector<std::vector<std::vector<Vertex>>> slices_;
   std::int64_t m_edges_ = 0;
   ShardedMatrixOracle& oracle_;
-  ShardedRebuildParticipation participation_;
   /// Update-path comm ledger (routing traffic), written only by the update
   /// thread.
   std::int64_t batch_bytes_ = 0;
@@ -272,9 +195,6 @@ class ShardedAdjacencyStore {
 
 static_assert(AdjacencyStorePolicy<ShardedAdjacencyStore>,
               "ShardedAdjacencyStore must model AdjacencyStorePolicy");
-static_assert(RebuildParticipationPolicy<ShardedRebuildParticipation>,
-              "ShardedRebuildParticipation must model "
-              "RebuildParticipationPolicy");
 
 /// The shared replay-core knobs plus the shard count (replay_core.hpp; the
 /// flat facade derives from the same struct, so the engines cannot drift).

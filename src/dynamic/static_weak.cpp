@@ -16,14 +16,13 @@ CoreConfig make_fallback_config(const CoreConfig& core) {
 }  // namespace
 
 WeakOracleDriver::WeakOracleDriver(const Graph& g, WeakOracle& oracle,
-                                   const WeakSimConfig& cfg, std::uint64_t seed,
-                                   RebuildParticipation* participation)
+                                   const WeakSimConfig& cfg, std::uint64_t seed)
     : g_(g),
       oracle_(oracle),
       cfg_(cfg),
       rng_(seed),
       fallback_cfg_(make_fallback_config(cfg.core)),
-      fallback_(g, fallback_oracle_, fallback_cfg_, participation) {}
+      fallback_(g, fallback_oracle_, fallback_cfg_) {}
 
 bool WeakOracleDriver::exhaustive() const {
   return cfg_.strict && cfg_.exhaustive_fallback && fallback_.exhaustive();
@@ -203,20 +202,16 @@ Matching weak_initial_matching(Vertex n, WeakOracle& oracle,
 }
 
 WeakBoostResult static_weak_boost(const Graph& g, Matching m, WeakOracle& oracle,
-                                  const WeakSimConfig& cfg,
-                                  RebuildParticipation* participation) {
+                                  const WeakSimConfig& cfg) {
   WeakBoostResult result{std::move(m), {}, 0, 0, 0};
   const std::int64_t calls_before = oracle.calls();
-  // The boost begins by distributing the frozen snapshot to the layout's
-  // participants; the in-structure sweeps and local contractions below stay
-  // serial coordinator reads and are deliberately not charged (the exact-cost
-  // accounting caveat, docs/replay_core.md).
-  if (participation != nullptr) participation->note_rebuild_begin(g);
-  WeakOracleDriver driver(g, oracle, cfg, cfg.core.seed, participation);
+  WeakOracleDriver driver(g, oracle, cfg, cfg.core.seed);
   PhaseEngine engine(g, cfg.core);
   result.outcome = engine.run(result.matching, driver);
   result.weak_calls = oracle.calls() - calls_before;
   result.sampled_iterations = driver.sampled_iterations();
+  result.sweep_rounds = driver.fallback_stats().sweep_rounds;
+  result.sweep_arcs = driver.fallback_stats().sweep_arcs;
   return result;
 }
 

@@ -48,12 +48,8 @@ struct WeakSimConfig {
 
 class WeakOracleDriver final : public PassBundleDriver {
  public:
-  /// `participation` is the storage layout's rebuild-participation policy
-  /// (core/framework.hpp), forwarded to the exhaustive-fallback driver so the
-  /// H'/H'_s sweeps fan out per shard; nullptr = flat single-participant.
   WeakOracleDriver(const Graph& g, WeakOracle& oracle, const WeakSimConfig& cfg,
-                   std::uint64_t seed,
-                   RebuildParticipation* participation = nullptr);
+                   std::uint64_t seed);
 
   void begin_phase(StructureForest& forest) override;
   void extend_active_path(StructureForest& forest) override;
@@ -62,6 +58,10 @@ class WeakOracleDriver final : public PassBundleDriver {
 
   [[nodiscard]] std::int64_t sampled_iterations() const {
     return sampled_iterations_;
+  }
+  /// The exhaustion sweeps' counters (all zero without the fallback).
+  [[nodiscard]] const FrameworkStats& fallback_stats() const {
+    return fallback_.stats();
   }
 
  private:
@@ -88,6 +88,9 @@ struct WeakBoostResult {
   std::int64_t weak_calls = 0;
   std::int64_t initial_weak_calls = 0;
   std::int64_t sampled_iterations = 0;
+  /// FrameworkStats::sweep_rounds / sweep_arcs of the exhaustion sweeps.
+  std::int64_t sweep_rounds = 0;
+  std::int64_t sweep_arcs = 0;
 };
 
 /// Lemma 6.7: a Theta(1)-approximate matching from O(1/(delta*lambda))
@@ -101,12 +104,9 @@ struct WeakBoostResult {
                                                    const WeakSimConfig& cfg);
 
 /// Boosts an existing matching in place (used by the dynamic rebuilds, which
-/// already hold a maximal matching). `participation` lets a sharded storage
-/// layout drive the exhaustion sweeps (core/framework.hpp): the boost charges
-/// the snapshot distribution to its ledger and the fallback driver fans
-/// H'/H'_s discovery out per participant — bit-identical results either way.
-[[nodiscard]] WeakBoostResult static_weak_boost(
-    const Graph& g, Matching m, WeakOracle& oracle, const WeakSimConfig& cfg,
-    RebuildParticipation* participation = nullptr);
+/// already hold a maximal matching).
+[[nodiscard]] WeakBoostResult static_weak_boost(const Graph& g, Matching m,
+                                                WeakOracle& oracle,
+                                                const WeakSimConfig& cfg);
 
 }  // namespace bmf

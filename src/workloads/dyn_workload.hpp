@@ -53,11 +53,11 @@ namespace bmf {
 /// one uniformly chosen block) with probability 1 - cross_fraction, or
 /// cross-shard (endpoints from two distinct blocks) otherwise; deletions
 /// pick a uniform live edge. cross_fraction ~ 0 keeps updates shard-local
-/// (the cheap routing regime), ~ 1 makes every edge straddle shards and
-/// stresses the coordinator merge. Every emitted update is valid and the
-/// graph starts empty. Requires n >= 2 * shards; blocks the ceil split
-/// leaves too small to host a draw (empty, or single-vertex for intra-shard
-/// edges) are excluded from shard selection.
+/// (the cheap routing regime), ~ 1 makes every edge straddle shards, so a
+/// toggle's two directed copies land in different shards. Every emitted
+/// update is valid and the graph starts empty. Requires n >= 2 * shards;
+/// blocks the ceil split leaves too small to host a draw (empty, or
+/// single-vertex for intra-shard edges) are excluded from shard selection.
 [[nodiscard]] std::vector<EdgeUpdate> dyn_shard_partitioned(
     Vertex n, int shards, std::int64_t count, double cross_fraction,
     double insert_prob, Rng& rng);

@@ -46,19 +46,15 @@ class MinimalStore {
     return changed;
   }
 #endif
-#ifndef BMF_OMIT_REBUILD_PARTICIPATION
-  [[nodiscard]] bmf::RebuildParticipation& rebuild_participation() {
-    return participation_;
-  }
-#endif
 #ifndef BMF_OMIT_COMM_STATS
-  [[nodiscard]] bmf::CommStats comm_stats() const { return {}; }
+  [[nodiscard]] bmf::CommStats comm_stats(const bmf::RebuildStats&) const {
+    return {};
+  }
 #endif
 
  private:
   bmf::DynGraph g_;
   bmf::WeakOracle& oracle_;
-  bmf::FlatRebuildParticipation participation_;
 };
 
 // Instantiating the core is what arms the static_assert cascade.

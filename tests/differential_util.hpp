@@ -13,11 +13,9 @@
 /// tests/test_rebuild_parallel.cpp — the grid loops live here so no suite
 /// carries its own copy.
 ///
-/// `words_touched` (the oracle cost proxy) is asserted *within* an engine
-/// family: it is exact and invariant across every grid axis for a fixed
-/// oracle type, but the sharded oracle's speculative probes legitimately
-/// scan more words than the serial `MatrixWeakOracle`, so the two families
-/// are never compared to each other.
+/// `words_touched` (the oracle cost proxy) is exact and invariant across
+/// every grid axis, and the sharded oracle runs `MatrixWeakOracle`'s greedy
+/// probe for probe, so the two oracle families report one count.
 ///
 /// The coordinator message ledger (`CommStats`) has a weaker contract still:
 /// deterministic (pinned by a double run in every sharded k > 1 cell),
@@ -39,7 +37,6 @@
 #include "dynamic/dynamic_matcher.hpp"
 #include "dynamic/sharded_matcher.hpp"
 #include "dynamic/weak_oracle.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/dyn_workload.hpp"
 
 namespace bmf::testdiff {
@@ -90,7 +87,7 @@ inline RunResult collect(const DynamicMatcher& dm) {
   r.num_edges = dm.graph().num_edges();
   const Graph s = dm.graph().snapshot();
   r.graph_edges.assign(s.edges().begin(), s.edges().end());
-  // The flat store is single-participant: nothing ever crosses a shard
+  // The flat store is one node: nothing ever crosses a shard
   // boundary, so its ledger is identically zero at every grid point.
   EXPECT_EQ(dm.comm_stats(), CommStats{});
   return r;
@@ -122,9 +119,6 @@ inline RunResult run_flat_batched(Vertex n, std::span<const EdgeUpdate> ups,
                                   DynamicMatcherConfig cfg, int threads,
                                   std::int64_t batch_size,
                                   std::int64_t* words_out = nullptr) {
-  // The size gates are perf-only; disable them so the rebuild fan-out runs
-  // on test-sized inputs (the differential suites also run under TSan).
-  const ForceParallelSmallWork force;
   cfg.threads = threads;
   MatrixWeakOracle oracle(n);
   DynamicMatcher dm(n, oracle, cfg);
@@ -145,7 +139,6 @@ inline RunResult run_sharded(Vertex n, std::span<const EdgeUpdate> ups,
                              int threads, std::int64_t batch_size,
                              std::int64_t* words_out = nullptr,
                              CommStats* comm_out = nullptr) {
-  const ForceParallelSmallWork force;
   ShardedMatcherConfig cfg;
   static_cast<DynamicCoreConfig&>(cfg) = base;
   cfg.shards = shards;
@@ -186,8 +179,8 @@ struct GridOptions {
 /// The single loop: sequential reference, then every flat (threads x batch)
 /// point, then every sharded (shards x batch x threads) point, asserting the
 /// full RunResult (including rebuild positions) agrees everywhere, that
-/// words_touched is invariant within each engine family, and that the
-/// sharded comm ledger is invariant across thread counts and batch sizes.
+/// words_touched is one count across the whole grid, and that the sharded
+/// comm ledger is invariant across thread counts and batch sizes.
 inline void expect_all_engines_equal(Vertex n, std::span<const EdgeUpdate> ups,
                                      const DynamicMatcherConfig& cfg,
                                      const GridOptions& opt = {}) {
@@ -203,14 +196,13 @@ inline void expect_all_engines_equal(Vertex n, std::span<const EdgeUpdate> ups,
           run_flat_batched(n, ups, cfg, threads, batch_size, &words);
       EXPECT_EQ(got, want) << "flat threads=" << threads
                            << " batch=" << batch_size;
-      // One oracle family, one query schedule: the exact words count is
-      // invariant across the whole flat grid including the serial loop.
+      // One query schedule: the exact words count is invariant across the
+      // whole grid including the serial loop.
       EXPECT_EQ(words, flat_words)
           << "flat threads=" << threads << " batch=" << batch_size;
     }
 
   if (!opt.run_sharded_grid) return;
-  std::int64_t sharded_words = -1;
   for (const int shards : opt.shard_counts) {
     // The update path charges one round per toggled update and nothing reads
     // the thread count, so a shard count has one ledger across every batch
@@ -225,11 +217,9 @@ inline void expect_all_engines_equal(Vertex n, std::span<const EdgeUpdate> ups,
             run_sharded(n, ups, cfg, shards, threads, batch_size, &words, &comm);
         EXPECT_EQ(got, want) << "shards=" << shards << " threads=" << threads
                              << " batch=" << batch_size;
-        // The speculative probe schedule is deterministic, so the sharded
-        // words count is invariant across its whole grid (but legitimately
-        // differs from the flat oracle's).
-        if (sharded_words < 0) sharded_words = words;
-        EXPECT_EQ(words, sharded_words)
+        // The sharded oracle probes exactly the flat oracle's rows against
+        // the same masks, so it scans the same words.
+        EXPECT_EQ(words, flat_words)
             << "shards=" << shards << " threads=" << threads
             << " batch=" << batch_size;
         if (shards == 1) {

@@ -7,7 +7,6 @@
 #include "dynamic/dynamic_matcher.hpp"
 #include "dynamic/partial_dynamic.hpp"
 #include "dynamic/weak_oracle.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/dyn_workload.hpp"
 #include "workloads/gen.hpp"
 
@@ -93,7 +92,6 @@ TEST_P(BatchDifferential, HotBurstBatches) {
   cfg.eps = 0.25;
   cfg.seed = GetParam();
   const RunResult want = testdiff::run_sequential(48, flat, cfg);
-  const ForceParallelSmallWork force;
   for (const int threads : {1, 2, 8}) {
     MatrixWeakOracle oracle(48);
     cfg.threads = threads;
@@ -206,7 +204,6 @@ TEST(Problem1Batch, ChunkMatchesOneAtATimeReplay) {
 
 TEST(PartialDynamicBatch, IncrementalBatchMatchesSerial) {
   Rng rng(5);
-  const ForceParallelSmallWork force;
   const Graph g = gen_random_graph(40, 140, rng);
   DynamicMatcherConfig cfg;
   cfg.eps = 0.25;
@@ -223,7 +220,6 @@ TEST(PartialDynamicBatch, IncrementalBatchMatchesSerial) {
 
 TEST(PartialDynamicBatch, DecrementalEraseBatchMatchesSerial) {
   Rng rng(6);
-  const ForceParallelSmallWork force;
   const Graph g = gen_random_graph(36, 120, rng);
   DynamicMatcherConfig cfg;
   cfg.eps = 0.25;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/framework.hpp"
 #include "core/phase.hpp"
 #include "matching/blossom_exact.hpp"
@@ -129,6 +131,25 @@ TEST(PhaseEngine, RejectsMismatchedMatching) {
   CoreConfig cfg;
   InertDriver driver;
   EXPECT_THROW((void)PhaseEngine(g, cfg).run(m, driver), std::invalid_argument);
+}
+
+TEST(PhaseEngine, RejectsOutOfRangeEps) {
+  // Unchecked, a NaN eps spins forever (the scale loop's NaN last_scale()
+  // never stops it) and eps <= 0 runs no phase and hands the input matching
+  // back unboosted; both must throw before any work.
+  const Graph g = make_graph(3, std::vector<Edge>{{0, 1}, {1, 2}});
+  InertDriver driver;
+  for (const double eps : {std::nan(""), 0.0, -1.0}) {
+    CoreConfig cfg;
+    cfg.eps = eps;
+    Matching m(3);
+    EXPECT_THROW((void)PhaseEngine(g, cfg).run(m, driver), std::invalid_argument)
+        << "eps=" << eps;
+  }
+  CoreConfig cfg;
+  cfg.eps = std::nan("");
+  GreedyMatchingOracle oracle;
+  EXPECT_THROW((void)boost_matching(g, oracle, cfg), std::invalid_argument);
 }
 
 TEST(PhaseEngine, OutcomeAccountingConsistent) {

@@ -1,12 +1,12 @@
-/// Differential suite for the parallel Theorem 6.2 rebuild engine:
+/// Differential suite for the Theorem 6.2 rebuild engine:
 ///
-///  * FrameworkDriver's per-structure H'/H'_s discovery fans out across
-///    cfg.threads with private buffers merged in structure-id order, so
-///    boost_matching / static_weak_matching must be bit-identical (matching,
-///    stats, oracle call counts) at 1, 2, and 8 threads;
-///  * DynamicMatcher's apply_batch, with the rebuilds it fires fanning out
-///    across threads, must stay bit-identical to the sequential apply loop
-///    on deletion-heavy and adaptive-rebuild schedules at any thread count.
+///  * boost_matching fans its initial-matching filter out across cfg.threads,
+///    and static_weak_matching takes the same thread knob; both must be
+///    bit-identical (matching, stats, oracle call counts) at 1, 2, and 8
+///    threads;
+///  * DynamicMatcher's apply_batch, with the rebuilds it fires inside
+///    batches, must stay bit-identical to the sequential apply loop on
+///    deletion-heavy and adaptive-rebuild schedules at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "core/oracle.hpp"
 #include "differential_util.hpp"
 #include "dynamic/dynamic_matcher.hpp"
-#include "dynamic/sharded_matcher.hpp"
 #include "dynamic/static_weak.hpp"
 #include "dynamic/weak_oracle.hpp"
 #include "util/rng.hpp"
@@ -29,7 +28,7 @@ namespace bmf {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Static boost: thread-count identity of the parallel discovery.
+// Static boost: thread-count identity.
 // ---------------------------------------------------------------------------
 
 struct BoostFingerprint {
@@ -38,6 +37,8 @@ struct BoostFingerprint {
   std::int64_t stage_iterations = 0;
   std::int64_t ca_iterations = 0;
   std::int64_t truncated_loops = 0;
+  std::int64_t sweep_rounds = 0;
+  std::int64_t sweep_arcs = 0;
   std::int64_t total_oracle_calls = 0;
   std::int64_t augmenting_paths = 0;
   bool certified = false;
@@ -48,9 +49,9 @@ struct BoostFingerprint {
 
 BoostFingerprint boost_fingerprint(const Graph& g, int threads,
                                    std::uint64_t seed) {
-  // Disable the size gates so discovery fans out even on these small graphs
-  // (the gates are perf-only; this suite exists to exercise the parallel
-  // paths, under TSan in CI).
+  // Disable the size gates so the initial-matching filter fans out even on
+  // these small graphs (the gates are perf-only; this suite exercises the
+  // parallel path, under TSan in CI).
   const ForceParallelSmallWork force;
   RandomGreedyMatchingOracle oracle(seed);
   CoreConfig cfg;
@@ -63,6 +64,8 @@ BoostFingerprint boost_fingerprint(const Graph& g, int threads,
   f.stage_iterations = r.stats.stage_iterations;
   f.ca_iterations = r.stats.ca_iterations;
   f.truncated_loops = r.stats.truncated_loops;
+  f.sweep_rounds = r.stats.sweep_rounds;
+  f.sweep_arcs = r.stats.sweep_arcs;
   f.total_oracle_calls = r.total_oracle_calls;
   f.augmenting_paths = r.outcome.augmenting_paths;
   f.certified = r.outcome.certified;
@@ -86,6 +89,8 @@ struct WeakFingerprint {
   std::vector<Vertex> mates;
   std::int64_t weak_calls = 0;
   std::int64_t sampled_iterations = 0;
+  std::int64_t sweep_rounds = 0;
+  std::int64_t sweep_arcs = 0;
   friend bool operator==(const WeakFingerprint&, const WeakFingerprint&) =
       default;
 };
@@ -95,7 +100,6 @@ TEST(RebuildParallel, StaticWeakMatchingIdenticalAcrossThreadCounts) {
   const Graph g = gen_random_graph(70, 240, rng);
 
   const auto run = [&](int threads) {
-    const ForceParallelSmallWork force;
     MatrixWeakOracle oracle = MatrixWeakOracle::from_graph(g);
     WeakSimConfig cfg;
     cfg.core.eps = 0.5;
@@ -107,124 +111,16 @@ TEST(RebuildParallel, StaticWeakMatchingIdenticalAcrossThreadCounts) {
       f.mates.push_back(r.matching.mate(v));
     f.weak_calls = r.weak_calls;
     f.sampled_iterations = r.sampled_iterations;
+    f.sweep_rounds = r.sweep_rounds;
+    f.sweep_arcs = r.sweep_arcs;
     return f;
   };
 
   const auto want = run(1);
   EXPECT_GT(want.weak_calls, 0);
+  EXPECT_GT(want.sweep_rounds, 0);
   for (const int threads : {2, 8})
     EXPECT_EQ(run(threads), want) << "threads=" << threads;
-}
-
-// ---------------------------------------------------------------------------
-// Rebuild participation: shard-owned discovery sweeps vs the flat sweep.
-// ---------------------------------------------------------------------------
-
-/// The Theorem 6.2 boost driven through `ShardedRebuildParticipation`
-/// (sharded_matcher.hpp): each shard scans only the snapshot rows it owns and
-/// the coordinator splices the pos-tagged buffers — the result must be
-/// bit-identical to the flat single-participant sweep at every
-/// (participants x threads), with the ledger charged only for real shards.
-TEST(RebuildParallelParticipation, StaticBoostIdenticalAcrossParticipants) {
-  Rng rng(47);
-  const Graph g = gen_random_graph(70, 240, rng);
-  const ForceParallelSmallWork force;
-
-  const auto run = [&](RebuildParticipation* participation, int threads) {
-    MatrixWeakOracle oracle = MatrixWeakOracle::from_graph(g);
-    WeakSimConfig cfg;
-    cfg.core.eps = 0.5;
-    cfg.core.seed = 11;
-    cfg.core.threads = threads;
-    const WeakBoostResult r =
-        static_weak_boost(g, Matching(g.num_vertices()), oracle, cfg,
-                          participation);
-    WeakFingerprint f;
-    for (Vertex v = 0; v < g.num_vertices(); ++v)
-      f.mates.push_back(r.matching.mate(v));
-    f.weak_calls = r.weak_calls;
-    f.sampled_iterations = r.sampled_iterations;
-    return f;
-  };
-
-  const WeakFingerprint want = run(nullptr, 1);
-  EXPECT_GT(want.weak_calls, 0);
-  for (const int shards : {1, 2, 4}) {
-    const VertexPartition part(g.num_vertices(), shards);
-    for (const int threads : {1, 8}) {
-      ShardedRebuildParticipation participation(part);
-      EXPECT_EQ(run(&participation, threads), want)
-          << "shards=" << shards << " threads=" << threads;
-      if (shards == 1) {
-        // One participant: nothing crosses, nothing is charged.
-        EXPECT_EQ(participation.bytes(), 0);
-        EXPECT_EQ(participation.rounds(), 0);
-      } else {
-        // The boost distributed the snapshot and gathered sweep candidates.
-        EXPECT_GT(participation.bytes(), 0)
-            << "shards=" << shards << " threads=" << threads;
-        EXPECT_GT(participation.rounds(), 0)
-            << "shards=" << shards << " threads=" << threads;
-        // Deterministic ledger: an identical boost charges identical traffic.
-        ShardedRebuildParticipation again(part);
-        EXPECT_EQ(run(&again, threads), want);
-        EXPECT_EQ(again.bytes(), participation.bytes())
-            << "shards=" << shards << " threads=" << threads;
-        EXPECT_EQ(again.rounds(), participation.rounds())
-            << "shards=" << shards << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(RebuildParallelParticipation, FrameworkDriverHonorsParticipation) {
-  // The A_matching boost through FrameworkDriver directly (no weak-oracle
-  // wrapper): participation fans the H'/H'_s discovery out per shard and the
-  // canonical merge must reproduce the flat sweep's derived graphs exactly —
-  // pinned by matchings, framework stats, and oracle call counts.
-  Rng rng(53);
-  const Graph g = gen_random_graph(60, 220, rng);
-  const ForceParallelSmallWork force;
-
-  struct Fingerprint {
-    std::vector<Vertex> mates;
-    FrameworkStats stats;
-    std::int64_t oracle_calls = 0;
-    bool certified = false;
-  };
-  const auto run = [&](RebuildParticipation* participation, int threads) {
-    RandomGreedyMatchingOracle oracle(7);
-    CoreConfig cfg;
-    cfg.eps = 0.5;
-    cfg.threads = threads;
-    FrameworkDriver driver(g, oracle, cfg, participation);
-    PhaseEngine engine(g, cfg);
-    Matching m(g.num_vertices());
-    const BoostOutcome outcome = engine.run(m, driver);
-    Fingerprint f;
-    for (Vertex v = 0; v < g.num_vertices(); ++v) f.mates.push_back(m.mate(v));
-    f.stats = driver.stats();
-    f.oracle_calls = oracle.calls();
-    f.certified = outcome.certified;
-    return f;
-  };
-
-  const Fingerprint want = run(nullptr, 1);
-  for (const int shards : {2, 4}) {
-    const VertexPartition part(g.num_vertices(), shards);
-    for (const int threads : {1, 8}) {
-      ShardedRebuildParticipation participation(part);
-      const Fingerprint got = run(&participation, threads);
-      EXPECT_EQ(got.mates, want.mates)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(got.stats.stage_loops, want.stats.stage_loops);
-      EXPECT_EQ(got.stats.stage_iterations, want.stats.stage_iterations);
-      EXPECT_EQ(got.stats.ca_iterations, want.stats.ca_iterations);
-      EXPECT_EQ(got.stats.truncated_loops, want.stats.truncated_loops);
-      EXPECT_EQ(got.oracle_calls, want.oracle_calls);
-      EXPECT_EQ(got.certified, want.certified);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@
 #include "dynamic/sharded_matcher.hpp"
 #include "dynamic/weak_oracle.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/dyn_workload.hpp"
 
 namespace bmf {
@@ -106,7 +105,6 @@ TEST(ReplayCoreStats, RebuildStatsFoldAcrossSerialAndBatchedPaths) {
   RebuildStats want;
   bool first = true;
   for (const int threads : {1, 8}) {
-    const ForceParallelSmallWork force;
     DynamicMatcherConfig cfg;
     cfg.eps = 0.25;
     cfg.seed = 31;
@@ -436,15 +434,13 @@ class MinimalStore {
     return changed;
   }
 
-  [[nodiscard]] RebuildParticipation& rebuild_participation() {
-    return participation_;
+  [[nodiscard]] CommStats comm_stats(const RebuildStats& /*rebuilt*/) const {
+    return {};
   }
-  [[nodiscard]] CommStats comm_stats() const { return {}; }
 
  private:
   DynGraph g_;
   WeakOracle& oracle_;
-  FlatRebuildParticipation participation_;
 };
 
 static_assert(AdjacencyStorePolicy<MinimalStore>,
@@ -467,7 +463,6 @@ TEST(ReplayCoreContract, MinimalStoreIsSufficientAndBitIdentical) {
   ASSERT_GT(ref.rebuilds(), 0);
 
   for (const int threads : {1, 8}) {
-    const ForceParallelSmallWork force;
     DynamicCoreConfig cfg;
     cfg.eps = 0.25;
     cfg.seed = 77;

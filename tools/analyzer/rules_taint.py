@@ -17,7 +17,8 @@ helper calls (summaries: which labels a helper's return carries, and which
 parameters the helper feeds into a sink unsorted). A *canonicalizer*
 clears labels: ``std::sort``/``stable_sort``/``ranges::sort`` with a
 deterministic key, or a call to a manifest-listed canonicalizing method
-(the pos-tagged ``RebuildParticipation::merge``). A finding fires when a
+(``canonical_methods``, e.g. a ``merge`` that splices per-worker buffers
+back into scan order). A finding fires when a
 ``hash-order`` value reaches a *sink*: Matching mutation (``add`` /
 ``remove_at`` / ``augment``), an oracle query (``find_matching``,
 ``query*``, ``static_weak_boost``), a rebuild/replay entry point, or a
