@@ -14,9 +14,9 @@
 /// `read_p99_us` are snapshot-read latency percentiles in microseconds and
 /// are 0 for benches without a read side (only the matching service bench
 /// populates them); `coord_bytes` / `coord_rounds` are the coordinator
-/// message ledger (CommStats, replay_core.hpp) — bytes and rounds crossing
-/// the shard boundary over the whole run — and are 0 for flat engines,
-/// single-shard cells, and benches without a sharded store; `ns_per_probe`
+/// message ledger (CommStats, replay_core.hpp) — bytes and rounds that would
+/// cross the shard boundary over the whole run — and are 0 for one-shard
+/// engines and benches that record no ledger; `ns_per_probe`
 /// is the mean wall-clock cost of one oracle probe kernel call in
 /// nanoseconds (0 for benches without a probe microbench — only the
 /// probe-kernel bench populates it). Names must not contain characters

@@ -37,8 +37,7 @@ struct RunState {
   friend bool operator==(const RunState&, const RunState&) = default;
 };
 
-// Collected through the abstract engine surface — one collector serves any
-// replay-core facade.
+// Collected through the abstract engine surface.
 RunState state_of(const ReplayEngine& engine) {
   RunState s;
   const LiveEngineView view = engine.view();

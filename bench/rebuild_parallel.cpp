@@ -14,8 +14,8 @@
 ///
 /// Every cell is checked bit-identical against the sequential reference; any
 /// divergence prints NO and the process exits non-zero (the bench-smoke CI
-/// job doubles as a Release-mode determinism check). The dynamic engines read
-/// no thread count, so their rows differ only by timing noise.
+/// job doubles as a Release-mode determinism check). The dynamic engine reads
+/// no thread count, so its rows differ only by timing noise.
 
 #include <cstdio>
 #include <thread>
@@ -41,16 +41,15 @@ struct RunState {
   std::int64_t rebuilds = 0;
   std::int64_t weak_calls = 0;
   RebuildStats rebuild_stats;
-  /// Flat engines have no shard boundary, so the ledger must stay all-zero
-  /// in every cell; folding it into the equality makes a spuriously charged
-  /// counter flip `identical` and fail the run (the --quick CI smoke).
+  /// Every cell runs at one shard, so the ledger must stay all-zero; folding
+  /// it into the equality makes a spuriously charged counter flip
+  /// `identical` and fail the run (the --quick CI smoke).
   CommStats comm;
 
   friend bool operator==(const RunState&, const RunState&) = default;
 };
 
-// Collected through the abstract engine surface — one collector serves any
-// replay-core facade.
+// Collected through the abstract engine surface.
 RunState state_of(const ReplayEngine& engine) {
   RunState s;
   const LiveEngineView view = engine.view();

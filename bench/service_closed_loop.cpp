@@ -56,10 +56,9 @@ double percentile(std::vector<double>& v, double p) {
 }
 
 std::vector<Vertex> sequential_mates(Vertex n, std::span<const EdgeUpdate> ups,
-                                     const DynamicCoreConfig& core) {
+                                     const DynamicMatcherConfig& core) {
   MatrixWeakOracle oracle(n);
-  DynamicMatcherConfig cfg;
-  static_cast<DynamicCoreConfig&>(cfg) = core;
+  DynamicMatcherConfig cfg = core;
   cfg.threads = 1;
   DynamicMatcher dm(n, oracle, cfg);
   for (const EdgeUpdate& up : ups) dm.apply(up);

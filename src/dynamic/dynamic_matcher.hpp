@@ -16,16 +16,14 @@
 ///    so a Theorem 6.2 rebuild is triggered on that schedule — O(1/eps)
 ///    rebuilds per Theta(n) updates, each costing poly(1/eps) A_weak calls.
 ///
-/// DynamicMatcher is a thin facade: all decision machinery — the
-/// maximal-matching repair, the rebuild-budget replay, and rebuild arming —
-/// lives in `DynamicReplayCore` (src/dynamic/replay_core.hpp), instantiated
-/// here over the flat single-node `FlatAdjacencyStore` (a `DynGraph` plus the
-/// borrowed `WeakOracle`). The sharded vertex-partition engine
-/// (sharded_matcher.hpp) instantiates the same core over its shard slices, so
-/// the bit-identity-critical replay logic has exactly one home. See
-/// replay_core.hpp for the determinism contract; it is pinned by the
-/// cross-engine differential harness in tests/test_replay_core.cpp and the
-/// suites in tests/test_dynamic_batch.cpp.
+/// DynamicMatcher is the library's one dynamic engine: a `DynGraph` plus a
+/// `WeakOracle`, behind the `ReplayEngine` surface (replay_engine.hpp) that
+/// the matching service drives. `apply_batch` validates the whole batch up
+/// front and then runs the sequential step once per update, so a batch is
+/// the `apply` loop by construction. `comm_stats()` prices the run for a
+/// vertex partition into `cfg.shards` owners (the partition cost model,
+/// docs/replay_core.md). The determinism contract is pinned by the
+/// differential harness (tests/differential_util.hpp) and the golden traces.
 ///
 /// Problem1Instance exposes the chunk/query interface verbatim for tests and
 /// for composing with other A_weak implementations (e.g. the OMv-backed one);
@@ -33,50 +31,88 @@
 /// a time.
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "dynamic/replay_core.hpp"
 #include "dynamic/replay_engine.hpp"
 #include "dynamic/weak_oracle.hpp"
 #include "graph/dyn_graph.hpp"
+#include "graph/graph.hpp"
 #include "matching/matching.hpp"
+#include "matching/matching_view.hpp"
 
 namespace bmf {
 
-/// All knobs are the shared replay-core set (replay_core.hpp) — the sharded
-/// facade derives from the same struct, so the engines cannot drift.
-struct DynamicMatcherConfig : DynamicCoreConfig {};
-
-/// The whole `ReplayEngine` surface — apply/apply_batch (determinism
-/// contract in replay_core.hpp), matching/snapshot/export_snapshot, and the
-/// counters incl. rebuild_positions()/rebuild_stats()/comm_stats() (the flat
-/// store is single-participant, so its comm ledger is always all-zero) — is
-/// inherited from `ReplayEngineFacade`
-/// (replay_engine.hpp); only the oracle-reading `weak_calls()` and the
-/// flat-store `graph()` accessor live here.
-class DynamicMatcher final
-    : public ReplayEngineFacade<DynamicMatcher, FlatAdjacencyStore> {
+class DynamicMatcher final : public ReplayEngine {
  public:
-  /// The oracle must be empty-initialized for n vertices; the matcher feeds
-  /// it every update (Problem 1: the graph starts empty).
+  /// Owns a `MatrixWeakOracle` over n vertices.
+  DynamicMatcher(Vertex n, const DynamicMatcherConfig& cfg);
+  /// Borrows `oracle`, which must be empty-initialized for n vertices; the
+  /// matcher feeds it every update (Problem 1: the graph starts empty).
   DynamicMatcher(Vertex n, WeakOracle& oracle, const DynamicMatcherConfig& cfg);
 
-  [[nodiscard]] const DynGraph& graph() const { return store_.graph(); }
+  void apply(const EdgeUpdate& update) override;
+  void apply_batch(std::span<const EdgeUpdate> batch) override;
+
+  [[nodiscard]] Vertex num_vertices() const override { return g_.num_vertices(); }
+  [[nodiscard]] const Matching& matching() const override { return m_; }
+  [[nodiscard]] Graph snapshot() const override { return g_.snapshot(); }
+  [[nodiscard]] MatchingSnapshot export_snapshot(
+      std::int64_t epoch) const override {
+    return MatchingSnapshot::of(m_, epoch, updates_);
+  }
+
+  [[nodiscard]] std::int64_t updates() const override { return updates_; }
+  [[nodiscard]] std::int64_t rebuilds() const override { return rebuilds_; }
   [[nodiscard]] std::int64_t weak_calls() const override {
     return oracle_.calls();
   }
+  [[nodiscard]] const std::vector<std::int64_t>& rebuild_positions()
+      const override {
+    return rebuild_positions_;
+  }
+  [[nodiscard]] const RebuildStats& rebuild_stats() const override {
+    return rebuild_stats_;
+  }
+  [[nodiscard]] CommStats comm_stats() const override;
+
+  [[nodiscard]] const DynGraph& graph() const { return g_; }
 
  private:
-  friend class ReplayEngineFacade<DynamicMatcher, FlatAdjacencyStore>;
+  void require_valid(const EdgeUpdate& up) const;
+  /// The sequential reference step for one already-validated update.
+  void apply_valid(const EdgeUpdate& update);
+  void try_match(Vertex v);
+  void on_structural_change(Vertex u, Vertex v, bool inserted);
+  /// Updates allowed between rebuilds at matching size `sz`.
+  [[nodiscard]] std::int64_t rebuild_budget(std::int64_t sz) const;
+  void maybe_rebuild();
+  void rebuild();
 
+  DynamicMatcherConfig cfg_;  ///< validated and resolved
+  std::unique_ptr<WeakOracle> owned_oracle_;
   WeakOracle& oracle_;
-  FlatAdjacencyStore store_;
-  DynamicReplayCore<FlatAdjacencyStore> core_;
+  DynGraph g_;
+  Matching m_;
+  std::int64_t updates_ = 0;
+  std::int64_t since_rebuild_ = 0;
+  std::int64_t rebuilds_ = 0;
+  /// Updates that changed edge presence (the update side of comm_stats()).
+  std::int64_t toggled_updates_ = 0;
+  std::vector<std::int64_t> rebuild_positions_;
+  RebuildStats rebuild_stats_;
 };
 
 /// Problem 1 (Section 7.2), verbatim: chunks of exactly alpha*n updates, then
 /// up to q adaptive queries answered with the Definition 6.1 guarantee.
 class Problem1Instance {
  public:
+  /// Throws std::invalid_argument before anything else is computed unless
+  /// alpha is finite and positive with alpha*n representable as a chunk
+  /// size, q >= 1, 0 < lambda <= 1, 0 < delta < 1 and the oracle is at
+  /// least lambda-strong.
   Problem1Instance(Vertex n, WeakOracle& oracle, std::int64_t q, double lambda,
                    double delta, double alpha);
 
@@ -91,13 +127,14 @@ class Problem1Instance {
 
   [[nodiscard]] std::int64_t chunk_size() const { return chunk_size_; }
   [[nodiscard]] std::int64_t queries_left() const { return queries_left_; }
-  [[nodiscard]] const DynGraph& graph() const { return store_.graph(); }
+  [[nodiscard]] const DynGraph& graph() const { return g_; }
 
  private:
-  FlatAdjacencyStore store_;  ///< the graph plus the borrowed oracle
+  std::int64_t chunk_size_;
+  DynGraph g_;
+  WeakOracle& oracle_;
   std::int64_t q_;
   double delta_;
-  std::int64_t chunk_size_;
   std::int64_t queries_left_ = 0;
 };
 

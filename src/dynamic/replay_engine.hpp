@@ -1,23 +1,13 @@
 #pragma once
 
-/// The shared engine surface over `DynamicReplayCore` facades.
+/// The abstract dynamic-engine surface.
 ///
-/// PR 5 made both dynamic engines thin facades over the one replay core, but
-/// each facade still re-declared the whole core accessor surface by hand
-/// (`rebuild_positions()`, `rebuild_stats()`, ...), and anything generic over
-/// engines — the matching service's writer, the differential harness, bench
-/// state collectors — had to be templated or carry facade-specific casts.
-/// This header fixes both:
-///
-///  * `ReplayEngine` is the abstract engine surface: every replay-core facade
-///    implements it, so a `ReplayEngine&` is all the matching service (and
-///    any test) needs — no facade-specific casts, no templates.
-///  * `ReplayEngineFacade<Derived, Store>` is the one home of the core/store
-///    forwarding (CRTP over the facade's `core_` / `store_` members): the
-///    accessors that used to be duplicated per facade are hoisted here, so
-///    the surfaces cannot drift apart again. A facade adds only what is
-///    genuinely its own — `weak_calls()` reads its concrete oracle, plus any
-///    store-specific extras (`graph()`, `partition()`, ...).
+/// `ReplayEngine` is everything generic code needs from a dynamic engine —
+/// the matching service's writer, the differential harness, bench state
+/// collectors. `DynamicMatcher` (dynamic_matcher.hpp) is the library's one
+/// implementation; the service also serves caller-owned implementations,
+/// such as perfbench's forwarding decorators and the tests' fault-injecting
+/// stub.
 ///
 /// `LiveEngineView` adapts an engine to the `MatchingView` read API
 /// (matching_view.hpp): exact answers straight off the live matching, epoch =
@@ -49,24 +39,30 @@ struct ReplayOverlapStats {
   std::int64_t deletion_mispredictions = 0;
 };
 
-/// Abstract surface of a dynamic engine built on `DynamicReplayCore`. All
-/// implementations promise the replay determinism contract (replay_core.hpp):
-/// for a fixed config, every method below returns bit-identical values across
-/// engines, thread counts, shard counts, and batch sizes.
+/// Abstract surface of a dynamic engine. For a fixed config, every method
+/// below except `comm_stats()` returns bit-identical values across thread
+/// counts, shard counts and batch sizes (the determinism contract,
+/// docs/replay_core.md).
 class ReplayEngine {
  public:
   virtual ~ReplayEngine() = default;
 
+  /// Throws std::invalid_argument on an invalid update before any counter
+  /// or state moves.
   virtual void apply(const EdgeUpdate& update) = 0;
   /// Validates the whole batch before mutation, then calls `apply`'s
-  /// sequential step per element in order.
+  /// sequential step per element in order. Exception guarantee: an invalid
+  /// update anywhere in the batch throws std::invalid_argument before the
+  /// first mutation; any later throw (a `std::bad_alloc` mid-rebuild, say)
+  /// leaves the batch partly applied.
   virtual void apply_batch(std::span<const EdgeUpdate> batch) = 0;
 
   [[nodiscard]] virtual Vertex num_vertices() const = 0;
   [[nodiscard]] virtual const Matching& matching() const = 0;
   /// The live graph as a static CSR snapshot (== DynGraph::snapshot()).
   [[nodiscard]] virtual Graph snapshot() const = 0;
-  /// Immutable matching snapshot for epoch publication (replay_core.hpp).
+  /// Immutable matching snapshot for epoch publication: a pure read, so
+  /// exporting never perturbs the replay state.
   [[nodiscard]] virtual MatchingSnapshot export_snapshot(
       std::int64_t epoch) const = 0;
 
@@ -84,14 +80,13 @@ class ReplayEngine {
     static const ReplayOverlapStats kNone;
     return kNone;
   }
-  /// Folded Theorem 6.2 rebuild counters (replay_core.hpp) — bit-identical
-  /// across the whole engine grid like every contract counter;
+  /// Folded Theorem 6.2 rebuild counters (replay_core.hpp);
   /// rebuild_stats().weak_calls == weak_calls() exactly.
   [[nodiscard]] virtual const RebuildStats& rebuild_stats() const = 0;
-  /// Coordinator message ledger (replay_core.hpp) — all-zero for
-  /// single-participant stores; monotone, and equal at every thread count
-  /// and batch size for a fixed shard count, but NOT part of the cross-cell
-  /// bit-identity contract (it varies with shards).
+  /// Coordinator message ledger (replay_core.hpp), priced for the
+  /// configured shard count: all zero at one shard; monotone, and equal at
+  /// every thread count and batch size for a fixed shard count, but not
+  /// across shard counts.
   [[nodiscard]] virtual CommStats comm_stats() const = 0;
 
   void insert(Vertex u, Vertex v) { apply(EdgeUpdate::ins(u, v)); }
@@ -125,56 +120,5 @@ class LiveEngineView final : public MatchingView {
 };
 
 inline LiveEngineView ReplayEngine::view() const { return LiveEngineView(*this); }
-
-/// CRTP implementation of the `ReplayEngine` surface for a facade holding a
-/// `Store store_` and a `DynamicReplayCore<Store> core_` (declare this base a
-/// friend). Only `weak_calls()` is left for the facade — it reads the
-/// facade's concrete oracle.
-template <class Derived, class Store>
-class ReplayEngineFacade : public ReplayEngine {
-  static_assert(AdjacencyStorePolicy<Store>,
-                "ReplayEngineFacade's Store must model "
-                "bmf::AdjacencyStorePolicy (src/dynamic/replay_core.hpp)");
-
- public:
-  void apply(const EdgeUpdate& update) final { self().core_.apply(update); }
-  void apply_batch(std::span<const EdgeUpdate> batch) final {
-    self().core_.apply_batch(batch);
-  }
-
-  [[nodiscard]] Vertex num_vertices() const final {
-    return self().store_.num_vertices();
-  }
-  [[nodiscard]] const Matching& matching() const final {
-    return self().core_.matching();
-  }
-  [[nodiscard]] Graph snapshot() const final { return self().store_.snapshot(); }
-  [[nodiscard]] MatchingSnapshot export_snapshot(std::int64_t epoch) const final {
-    return self().core_.export_snapshot(epoch);
-  }
-
-  [[nodiscard]] std::int64_t updates() const final {
-    return self().core_.updates();
-  }
-  [[nodiscard]] std::int64_t rebuilds() const final {
-    return self().core_.rebuilds();
-  }
-  [[nodiscard]] const std::vector<std::int64_t>& rebuild_positions()
-      const final {
-    return self().core_.rebuild_positions();
-  }
-  [[nodiscard]] const RebuildStats& rebuild_stats() const final {
-    return self().core_.rebuild_stats();
-  }
-  [[nodiscard]] CommStats comm_stats() const final {
-    return self().store_.comm_stats(self().core_.rebuild_stats());
-  }
-
- private:
-  [[nodiscard]] Derived& self() { return static_cast<Derived&>(*this); }
-  [[nodiscard]] const Derived& self() const {
-    return static_cast<const Derived&>(*this);
-  }
-};
 
 }  // namespace bmf

@@ -40,6 +40,7 @@ class WeakOracle {
   /// Definition 6.1 on G[S].
   WeakQueryResult query(std::span<const Vertex> s, double delta) {
     ++calls_;
+    rows_queried_ += static_cast<std::int64_t>(s.size());
     return query_impl(s, delta);
   }
 
@@ -47,6 +48,7 @@ class WeakOracle {
   WeakQueryResult query_cover(std::span<const Vertex> s_plus,
                               std::span<const Vertex> s_minus, double delta) {
     ++calls_;
+    rows_queried_ += static_cast<std::int64_t>(s_plus.size());
     return query_cover_impl(s_plus, s_minus, delta);
   }
 
@@ -66,7 +68,9 @@ class WeakOracle {
                         std::span<const std::uint8_t> structural, int threads);
 
   [[nodiscard]] std::int64_t calls() const { return calls_; }
-  void reset_calls() { calls_ = 0; }
+  /// Rows the queries asked about: |S| per `query`, |S+| per `query_cover`
+  /// (the probed side). Feeds the rebuild side of `CommStats`.
+  [[nodiscard]] std::int64_t rows_queried() const { return rows_queried_; }
 
  protected:
   virtual WeakQueryResult query_impl(std::span<const Vertex> s, double delta) = 0;
@@ -76,6 +80,7 @@ class WeakOracle {
 
  private:
   std::int64_t calls_ = 0;
+  std::int64_t rows_queried_ = 0;
 };
 
 /// A_weak over a maintained adjacency bit-matrix (the representation the

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace bmf {
 
@@ -13,8 +12,8 @@ namespace {
 
 /// The ingest check shared by every submit entry point. It runs on the
 /// caller's thread before the update is counted or queued: an invalid update
-/// reaching the writer would throw out of apply_batch there, where nothing
-/// can catch it.
+/// reaching the writer would throw out of apply_batch there and fail the
+/// whole service.
 void require_valid(const EdgeUpdate& update, Vertex n) {
   BMF_REQUIRE(valid_update(update, n), "MatchingService: invalid edge update");
 }
@@ -22,7 +21,7 @@ void require_valid(const EdgeUpdate& update, Vertex n) {
 }  // namespace
 
 void validate_service_config(const ServiceConfig& cfg, const char* who) {
-  validate_core_config(cfg, cfg.shards, who);
+  validate_core_config(cfg, who);
   const auto fail = [&](const std::string& what) {
     throw std::invalid_argument(std::string(who) + ": " + what);
   };
@@ -112,7 +111,7 @@ MatchingService::MatchingService(Vertex n, const ServiceConfig& cfg)
     : cfg_(cfg),
       owned_engine_([&] {
         validate_service_config(cfg, "MatchingService");
-        return std::make_unique<ShardedDynamicMatcher>(n, cfg);
+        return std::make_unique<DynamicMatcher>(n, cfg);
       }()),
       engine_(owned_engine_.get()),
       queue_(static_cast<std::size_t>(cfg_.queue_capacity)) {
@@ -185,13 +184,21 @@ void MatchingService::flush() {
   // accepted so far (a superset of those accepted before this call) has
   // committed. Without that second disjunct, a submit whose push is refused
   // after we captured `target` would leave target forever unreachable.
+  // A failed writer commits nothing more, so a flush it left short rethrows
+  // the failure instead of waiting.
   const std::int64_t target = submitted_.load(std::memory_order_acquire);
   const MutexLock lock(flush_mutex_);
   for (;;) {
     const std::int64_t c = committed_.load(std::memory_order_acquire);
     if (c >= target || c >= submitted_.load(std::memory_order_acquire)) return;
+    if (error_) std::rethrow_exception(error_);
     flush_cv_.wait(flush_mutex_);
   }
+}
+
+std::exception_ptr MatchingService::error() const {
+  const MutexLock lock(flush_mutex_);
+  return error_;
 }
 
 void MatchingService::close() {
@@ -219,18 +226,30 @@ bool MatchingService::publish_ready(std::int64_t epoch) const {
 void MatchingService::writer_loop() {
   std::vector<EdgeUpdate> batch;
   for (;;) {
-    std::size_t backlog = 0;
-    const std::size_t got = queue_.drain(
-        batch, static_cast<std::size_t>(cfg_.coalesce_max), &backlog);
+    const std::size_t got =
+        queue_.drain(batch, static_cast<std::size_t>(cfg_.coalesce_max));
     if (got == 0) break;  // closed and fully drained
 
-    Timer timer;
-    engine_->apply_batch(batch);
     // relaxed-ok: the single writer reads its own last epoch store
     const std::int64_t epoch =
         published_epoch_.load(std::memory_order_relaxed) + 1;
-    auto snap = std::make_shared<const MatchingSnapshot>(
-        engine_->export_snapshot(epoch));
+    std::shared_ptr<const MatchingSnapshot> snap;
+    try {
+      engine_->apply_batch(batch);
+      snap = std::make_shared<const MatchingSnapshot>(
+          engine_->export_snapshot(epoch));
+    } catch (...) {
+      // Keep the failure, publish nothing from this batch, and stop intake:
+      // the last good epoch stays published, later submits are refused, and
+      // flushers wake to rethrow instead of waiting for these commits.
+      {
+        const MutexLock lock(flush_mutex_);
+        error_ = std::current_exception();
+      }
+      queue_.close();
+      flush_cv_.notify_all();
+      return;
+    }
 
     bool stalled = false;
     if (cfg_.stall_writer) {
@@ -264,9 +283,6 @@ void MatchingService::writer_loop() {
       wstats_.updates_committed += static_cast<std::int64_t>(got);
       wstats_.rebuilds = engine_->rebuilds();
       if (stalled) wstats_.writer_stalls += 1;
-      wstats_.epoch_log.push_back({epoch, static_cast<std::int64_t>(got),
-                                   static_cast<std::int64_t>(backlog),
-                                   timer.millis()});
     }
     committed_.fetch_add(static_cast<std::int64_t>(got),
                          std::memory_order_acq_rel);

@@ -2,7 +2,7 @@
 
 /// `bmf::MatchingService` — a long-lived matching front-end with versioned
 /// wait-free snapshot reads (the read-dominated production story over the
-/// dynamic engines; see docs/service.md).
+/// dynamic engine; see docs/service.md).
 ///
 /// ## Architecture
 ///
@@ -13,10 +13,10 @@
 /// update at a time; the queue is the batching boundary. After each
 /// committed batch the writer *publishes an epoch*: an immutable
 /// `MatchingSnapshot` (compact mate array + size + epoch id, exported by the
-/// replay core's snapshot hook)
-/// installed by an atomic pointer swap. Reader threads answer `mate_of` /
-/// `is_matched` / `size` from their `SnapshotReader` handle's cached snapshot
-/// — plain loads off immutable memory, no locks, never blocked by the writer.
+/// engine's snapshot hook) installed by an atomic pointer swap. Reader
+/// threads answer `mate_of` / `is_matched` / `size` from their
+/// `SnapshotReader` handle's cached snapshot — plain loads off immutable
+/// memory, no locks, never blocked by the writer.
 ///
 /// ## Bounded staleness (Petuum SSP discipline)
 ///
@@ -47,16 +47,27 @@
 /// sequential engine's matching after the same U updates in submission order
 /// — every published snapshot carries `updates_applied()` precisely so tests
 /// can pin that (tests/test_service.cpp stress suite).
+///
+/// ## Writer failure
+///
+/// If the engine throws on the writer thread (`apply_batch` or
+/// `export_snapshot`; a `std::bad_alloc` mid-rebuild, say), the writer keeps
+/// the exception, closes intake and stops. Nothing from the failed batch is
+/// published, so the last good epoch stays the latest. From then on every
+/// submit returns false, `flush()` rethrows the stored exception instead of
+/// waiting for commits that cannot come, `error()` returns it, and `close()`
+/// and the destructor complete without throwing.
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <span>
 #include <thread>
 #include <vector>
 
+#include "dynamic/dynamic_matcher.hpp"
 #include "dynamic/replay_engine.hpp"
-#include "dynamic/sharded_matcher.hpp"
 #include "graph/dyn_graph.hpp"
 #include "matching/matching_view.hpp"
 #include "util/annotations.hpp"
@@ -66,11 +77,10 @@ namespace bmf {
 
 class MatchingService;
 
-/// Service knobs extend the sharded engine's config (itself the shared
-/// `DynamicCoreConfig`), so one struct configures the whole stack and one
-/// validation path (`validate_service_config` -> `validate_core_config`)
-/// rejects every bad knob the same way.
-struct ServiceConfig : ShardedMatcherConfig {
+/// Service knobs extend the engine's config, so one struct configures the
+/// whole stack and one validation path (`validate_service_config` ->
+/// `validate_core_config`) rejects every bad knob the same way.
+struct ServiceConfig : DynamicMatcherConfig {
   /// Bounded-staleness window in epochs (>= 1): reads are never served from
   /// a snapshot more than `max_lag` epochs behind the published epoch.
   std::int64_t max_lag = 1;
@@ -85,27 +95,18 @@ struct ServiceConfig : ShardedMatcherConfig {
   bool stall_writer = false;
 };
 
-/// Validates service knobs on top of the shared core path
-/// (`validate_core_config` with the shard count). Throws
-/// std::invalid_argument; `who` prefixes the message.
+/// Validates service knobs on top of the engine's (`validate_core_config`).
+/// Throws std::invalid_argument; `who` prefixes the message.
 void validate_service_config(const ServiceConfig& cfg, const char* who);
 
-/// One epoch's service-side accounting (stats() returns the full history).
-struct EpochRecord {
-  std::int64_t epoch = 0;
-  std::int64_t batch_size = 0;    ///< updates coalesced into this epoch
-  std::int64_t queue_depth = 0;   ///< backlog observed at the drain
-  double commit_ms = 0.0;         ///< apply_batch + snapshot export + publish
-};
-
-/// Aggregated service observability (per-epoch stats + merged reader-side
-/// staleness distribution). A consistent copy taken under the stats lock.
+/// Aggregated service observability: fixed-size writer counters plus the
+/// merged reader-side staleness distribution. A consistent copy taken under
+/// the stats lock.
 struct ServiceStats {
   std::int64_t epochs = 0;             ///< published epochs (excluding epoch 0)
   std::int64_t updates_committed = 0;  ///< updates across all epochs
   std::int64_t rebuilds = 0;           ///< engine rebuilds, as of last publish
   std::int64_t writer_stalls = 0;      ///< publishes that had to SSP-stall
-  std::vector<EpochRecord> epoch_log;  ///< one record per epoch, in order
   /// Reads by observed staleness (index = epochs behind at read time, last
   /// bucket = beyond max_lag). The refresh rule makes the last bucket
   /// provably empty; tests assert it.
@@ -164,9 +165,9 @@ class SnapshotReader final : public MatchingView {
 
 class MatchingService {
  public:
-  /// Owns a `ShardedDynamicMatcher` built from `cfg` (shards/threads/eps/...
-  /// all apply). The epoch-0 snapshot (empty matching) publishes immediately;
-  /// the writer thread starts accepting submissions.
+  /// Owns a `DynamicMatcher(n, cfg)` (eps, rebuild cadence, seed, shards,
+  /// ... all apply). The epoch-0 snapshot (empty matching) publishes
+  /// immediately; the writer thread starts accepting submissions.
   MatchingService(Vertex n, const ServiceConfig& cfg);
   /// Serves a caller-owned engine (any `ReplayEngine`; its own config was
   /// validated at engine construction — `cfg`'s inherited core knobs are
@@ -177,20 +178,21 @@ class MatchingService {
   MatchingService(const MatchingService&) = delete;
   MatchingService& operator=(const MatchingService&) = delete;
 
-  /// Every submit entry point checks its updates with the replay core's
-  /// `valid_update` against the engine's vertex count (empty updates are
+  /// Every submit entry point checks its updates with `valid_update`
+  /// (replay_core.hpp) against the engine's vertex count (empty updates are
   /// legal) and throws std::invalid_argument on the caller's thread before
   /// anything is counted or enqueued.
   ///
   /// Enqueues one update (any thread); blocks while the queue is full.
-  /// Returns false iff the service is closed.
+  /// Returns false iff the service is closed or failed.
   bool submit(const EdgeUpdate& update) BMF_EXCLUDES(flush_mutex_);
   /// Enqueues a span in order, blocking for space; the whole span is checked
-  /// before any of it is enqueued. Returns false iff closed part-way.
+  /// before any of it is enqueued. Returns false iff closed (or failed)
+  /// part-way.
   bool submit_batch(std::span<const EdgeUpdate> updates)
       BMF_EXCLUDES(flush_mutex_);
-  /// Non-blocking submit; returns false if the queue is full or closed (the
-  /// open-loop client's drop-and-count path).
+  /// Non-blocking submit; returns false if the queue is full, closed or
+  /// failed (the open-loop client's drop-and-count path).
   bool try_submit(const EdgeUpdate& update) BMF_EXCLUDES(flush_mutex_);
 
   /// Blocks until every update submitted before this call has been committed
@@ -198,6 +200,8 @@ class MatchingService {
   /// closing service rolls its count back; flush must not wait for updates
   /// that will never commit). (In stall_writer mode publication can wait on
   /// registered readers — keep them reading, or flush may wait with them.)
+  /// Rethrows the writer's exception if the service failed before
+  /// everything counted at entry committed.
   void flush() BMF_EXCLUDES(flush_mutex_);
 
   /// Stops intake, drains what was accepted, publishes the final epoch, and
@@ -230,6 +234,9 @@ class MatchingService {
   /// Consistent copy of the service counters + merged reader histograms.
   [[nodiscard]] ServiceStats stats() const
       BMF_EXCLUDES(registry_mutex_, stats_mutex_);
+  /// The exception the engine threw on the writer thread, or null while the
+  /// service is healthy (see "Writer failure" in the file comment).
+  [[nodiscard]] std::exception_ptr error() const BMF_EXCLUDES(flush_mutex_);
 
  private:
   friend class SnapshotReader;
@@ -248,7 +255,7 @@ class MatchingService {
       BMF_REQUIRES(registry_mutex_);
 
   ServiceConfig cfg_;
-  std::unique_ptr<ShardedDynamicMatcher> owned_engine_;
+  std::unique_ptr<DynamicMatcher> owned_engine_;
   ReplayEngine* engine_;
 
   BoundedQueue<EdgeUpdate> queue_;
@@ -259,12 +266,13 @@ class MatchingService {
   std::atomic<bool> closing_{false};
   std::atomic<bool> writer_stalled_{false};
 
-  /// flush()'s rendezvous lock: it guards no data of its own — committed_ and
-  /// submitted_ are atomics — but bridges the committed_ advance and the
-  /// notify so a flusher between its predicate check and its wait cannot miss
-  /// the wakeup.
+  /// flush()'s rendezvous lock: committed_ and submitted_ are atomics, but
+  /// the lock bridges the committed_ advance and the notify so a flusher
+  /// between its predicate check and its wait cannot miss the wakeup. It
+  /// also guards the writer's failure, which wakes flushers the same way.
   mutable Mutex flush_mutex_;
   CondVar flush_cv_;
+  std::exception_ptr error_ BMF_GUARDED_BY(flush_mutex_);
 
   /// Guards the reader registry and, in stall mode, readers' observed_
   /// advances (so the stalled writer cannot miss a wakeup).

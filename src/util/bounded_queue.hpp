@@ -105,8 +105,7 @@ class BoundedQueue {
   /// queue is closed), then moves up to `max_items` into `out` (cleared
   /// first) in arrival order. Returns out.size(); 0 means closed-and-empty.
   /// If `backlog` is non-null it receives the queue depth observed at the
-  /// drain (drained items + items left behind) — the service's queue-depth
-  /// stat.
+  /// drain (drained items + items left behind).
   std::size_t drain(std::vector<T>& out, std::size_t max_items,
                     std::size_t* backlog = nullptr) BMF_EXCLUDES(mutex_) {
     out.clear();

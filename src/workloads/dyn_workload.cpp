@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <unordered_set>
+#include <vector>
 
-#include "dynamic/sharded_matcher.hpp"
 #include "util/assert.hpp"
 
 namespace bmf {
@@ -127,22 +127,28 @@ std::vector<EdgeUpdate> dyn_shard_partitioned(Vertex n, int shards,
   BMF_REQUIRE(shards >= 1 && n >= 2 * static_cast<Vertex>(shards) && count >= 0 &&
                   cross_fraction >= 0 && cross_fraction <= 1,
               "dyn_shard_partitioned: bad parameters");
-  // The engine's own partition rule (one source of truth for the block
-  // math). The ceil split can leave trailing blocks empty or single-vertex
-  // (e.g. n = 9, shards = 4 -> [0,3) [3,6) [6,9) []), so draws go through
-  // eligibility lists: intra-shard edges need a block of >= 2 vertices,
-  // cross-shard endpoints any non-empty block.
-  const VertexPartition part(n, shards);
+  // Contiguous ceil blocks: shard s owns [s * block, (s+1) * block) clipped
+  // to n, and the last shard also takes any remainder. The split can leave
+  // trailing blocks empty or single-vertex (e.g. n = 9, shards = 4 ->
+  // [0,3) [3,6) [6,9) []), so draws go through eligibility lists:
+  // intra-shard edges need a block of >= 2 vertices, cross-shard endpoints
+  // any non-empty block.
+  const Vertex k = static_cast<Vertex>(shards);
+  const Vertex block = (n + k - 1) / k;
+  const auto begin = [&](int s) { return std::min<Vertex>(n, s * block); };
+  const auto size = [&](int s) {
+    const Vertex end = s == shards - 1 ? n : std::min<Vertex>(n, (s + 1) * block);
+    return end - begin(s);
+  };
   std::vector<int> intra_ok, cross_ok;
-  for (int s = 0; s < part.shards(); ++s) {
-    if (part.size(s) >= 2) intra_ok.push_back(s);
-    if (part.size(s) >= 1) cross_ok.push_back(s);
+  for (int s = 0; s < shards; ++s) {
+    if (size(s) >= 2) intra_ok.push_back(s);
+    if (size(s) >= 1) cross_ok.push_back(s);
   }
   BMF_ASSERT(!intra_ok.empty());  // n >= 2 guarantees block 0 holds two
   const auto draw_in = [&](int s) {
-    return part.begin(s) +
-           static_cast<Vertex>(
-               rng.next_below(static_cast<std::uint64_t>(part.size(s))));
+    return begin(s) +
+           static_cast<Vertex>(rng.next_below(static_cast<std::uint64_t>(size(s))));
   };
 
   std::vector<EdgeUpdate> updates;

@@ -47,12 +47,12 @@ namespace bmf {
 [[nodiscard]] std::vector<EdgeUpdate> dyn_planted_teardown(Vertex pairs,
                                                            Vertex hubs, Rng& rng);
 
-/// Vertex-partition-aware stream for the sharded dynamic engine: vertices
-/// are split into `shards` contiguous blocks (the ShardedDynamicMatcher
-/// partition), and each insertion is intra-shard (both endpoints drawn from
-/// one uniformly chosen block) with probability 1 - cross_fraction, or
-/// cross-shard (endpoints from two distinct blocks) otherwise; deletions
-/// pick a uniform live edge. cross_fraction ~ 0 keeps updates shard-local
+/// Vertex-partition-aware stream: vertices are split into `shards`
+/// contiguous ceil-sized blocks (the last block takes the remainder), and
+/// each insertion is intra-shard (both endpoints drawn from one uniformly
+/// chosen block) with probability 1 - cross_fraction, or cross-shard
+/// (endpoints from two distinct blocks) otherwise; deletions pick a uniform
+/// live edge. cross_fraction ~ 0 keeps updates shard-local
 /// (the cheap routing regime), ~ 1 makes every edge straddle shards, so a
 /// toggle's two directed copies land in different shards. Every emitted
 /// update is valid and the graph starts empty. Requires n >= 2 * shards;
@@ -62,13 +62,13 @@ namespace bmf {
     Vertex n, int shards, std::int64_t count, double cross_fraction,
     double insert_prob, Rng& rng);
 
-/// Mixed-churn stream for the cross-engine differential harness: rotates
-/// through four regimes in fixed-length phases — an insert-heavy burst, a
-/// planted-pair build-up immediately torn down by consecutive matched-edge
-/// deletions, a deletion-heavy random mix, and an oldest-first eviction
-/// sweep — so one stream exercises insertion matching, matched-edge repair,
-/// rebuild triggers, and evictions back to back. Every emitted update is
-/// valid and the graph starts empty.
+/// Mixed-churn stream for the differential harness: rotates through four
+/// regimes in fixed-length phases — an insert-heavy burst, a planted-pair
+/// build-up immediately torn down by consecutive matched-edge deletions, a
+/// deletion-heavy random mix, and an oldest-first eviction sweep — so one
+/// stream exercises insertion matching, matched-edge repair, rebuild
+/// triggers, and evictions back to back. Every emitted update is valid and
+/// the graph starts empty.
 [[nodiscard]] std::vector<EdgeUpdate> dyn_mixed_churn(Vertex n, std::int64_t count,
                                                       Rng& rng);
 

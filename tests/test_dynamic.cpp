@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "dynamic/bipartite_cover.hpp"
 #include "dynamic/dynamic_matcher.hpp"
 #include "dynamic/static_weak.hpp"
@@ -276,6 +280,22 @@ TEST(Problem1, ChunkAndQueryDiscipline) {
   EXPECT_EQ(p1.queries_left(), 3);
 }
 
+TEST(Problem1, RejectsAlphaWithoutAChunkSize) {
+  // alpha * n must be a finite chunk length that fits int64_t; it is checked
+  // before the cast, which would otherwise be undefined behaviour.
+  const Vertex n = 10;
+  MatrixWeakOracle oracle(n);
+  for (const double alpha : {1e30, 9.3e17, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(Problem1Instance(n, oracle, /*q=*/1, /*lambda=*/0.5,
+                                  /*delta=*/0.01, alpha),
+                 std::invalid_argument)
+        << "alpha=" << alpha;
+  // The largest legal chunks still construct.
+  EXPECT_EQ(Problem1Instance(n, oracle, 1, 0.5, 0.01, 9e17).chunk_size(),
+            9'000'000'000'000'000'000);
+}
+
 TEST(DynWorkloads, UpdatesAreAlwaysValid) {
   Rng rng(19);
   for (auto updates :
@@ -288,6 +308,59 @@ TEST(DynWorkloads, UpdatesAreAlwaysValid) {
         EXPECT_TRUE(g.insert(up.u, up.v));
       } else {
         EXPECT_TRUE(g.erase(up.u, up.v));
+      }
+    }
+  }
+}
+
+TEST(DynWorkloads, ShardPartitionedStreamIsValidAndSkewed) {
+  Rng rng(13);
+  const int shards = 4;
+  const Vertex n = 64;  // blocks of 16
+  const auto local = dyn_shard_partitioned(n, shards, 400, 0.0, 0.7, rng);
+  const auto cross = dyn_shard_partitioned(n, shards, 400, 1.0, 0.7, rng);
+  const auto owner = [](Vertex v) { return v / 16; };
+  DynGraph g1(n), g2(n);
+  std::int64_t cross_in_local = 0, cross_in_cross = 0, ins1 = 0, ins2 = 0;
+  for (const EdgeUpdate& up : local) {
+    if (up.insert) {
+      EXPECT_TRUE(g1.insert(up.u, up.v));
+      ++ins1;
+      cross_in_local += owner(up.u) != owner(up.v);
+    } else {
+      EXPECT_TRUE(g1.erase(up.u, up.v));
+    }
+  }
+  for (const EdgeUpdate& up : cross) {
+    if (up.insert) {
+      EXPECT_TRUE(g2.insert(up.u, up.v));
+      ++ins2;
+      cross_in_cross += owner(up.u) != owner(up.v);
+    } else {
+      EXPECT_TRUE(g2.erase(up.u, up.v));
+    }
+  }
+  // cross_fraction = 0 stays (nearly; saturation fallback aside) intra-shard;
+  // cross_fraction = 1 straddles shards on (nearly) every insertion.
+  EXPECT_LT(cross_in_local * 10, ins1);
+  EXPECT_GT(cross_in_cross * 10, 9 * ins2);
+}
+
+TEST(DynWorkloads, UnevenPartitionsExcludeUndersizedBlocksFromDraws) {
+  // n = 9, shards = 4: ceil split [0,3) [3,6) [6,9) [] — the last block is
+  // empty; n = 10 leaves a single-vertex block [9,10) that can host a
+  // cross-shard endpoint but no intra-shard edge. Streams must stay valid.
+  Rng rng(17);
+  for (const Vertex n : {9, 10}) {
+    for (const double cross : {0.0, 1.0}) {
+      const auto ups = dyn_shard_partitioned(n, 4, 150, cross, 0.7, rng);
+      DynGraph g(n);
+      for (const EdgeUpdate& up : ups) {
+        if (up.insert) {
+          EXPECT_TRUE(g.insert(up.u, up.v));
+        } else {
+          EXPECT_TRUE(g.erase(up.u, up.v));
+        }
       }
     }
   }

@@ -15,19 +15,15 @@ namespace {
 
 using testdiff::RunResult;
 
-/// The flat half of the shared checker (tests/differential_util.hpp): this
-/// suite focuses on `DynamicMatcher::apply_batch`; the sharded grid runs in
-/// test_sharded_dynamic.cpp and the cross-engine loop in
-/// test_replay_core.cpp.
+/// The shared checker (tests/differential_util.hpp) at four batch sizes,
+/// from one update per batch to the whole stream in one.
 void expect_batched_equals_sequential(Vertex n, const std::vector<EdgeUpdate>& ups,
                                       double eps, std::uint64_t seed) {
   DynamicMatcherConfig cfg;
   cfg.eps = eps;
   cfg.seed = seed;
-  testdiff::GridOptions opt;
-  opt.flat_batch_sizes = {1, 7, 64, static_cast<std::int64_t>(ups.size())};
-  opt.run_sharded_grid = false;
-  testdiff::expect_all_engines_equal(n, ups, cfg, opt);
+  testdiff::expect_batches_equal_sequential(
+      n, ups, cfg, {1, 7, 64, static_cast<std::int64_t>(ups.size())});
 }
 
 class BatchDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -92,13 +88,10 @@ TEST_P(BatchDifferential, HotBurstBatches) {
   cfg.eps = 0.25;
   cfg.seed = GetParam();
   const RunResult want = testdiff::run_sequential(48, flat, cfg);
-  for (const int threads : {1, 2, 8}) {
-    MatrixWeakOracle oracle(48);
-    cfg.threads = threads;
-    DynamicMatcher dm(48, oracle, cfg);
-    for (const auto& b : batches) dm.apply_batch(b);
-    EXPECT_EQ(testdiff::collect(dm), want) << "threads=" << threads;
-  }
+  MatrixWeakOracle oracle(48);
+  DynamicMatcher dm(48, oracle, cfg);
+  for (const auto& b : batches) dm.apply_batch(b);
+  EXPECT_EQ(testdiff::collect(dm), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferential, ::testing::Values(1u, 2u, 3u));
@@ -118,10 +111,8 @@ TEST(BatchDifferential, EmptyUpdatesAndNoOps) {
   ups.push_back(EdgeUpdate::ins(10, 11));  // conflicts with the re-insert
   DynamicMatcherConfig cfg;
   cfg.eps = 0.5;
-  const RunResult want = testdiff::run_sequential(20, ups, cfg);
-  for (const int threads : {1, 2, 8})
-    EXPECT_EQ(testdiff::run_flat_batched(20, ups, cfg, threads, 100), want)
-        << "threads=" << threads;
+  EXPECT_EQ(testdiff::run_batched(20, ups, cfg, 100),
+            testdiff::run_sequential(20, ups, cfg));
 }
 
 TEST(BatchDifferential, InvalidUpdateRejectedBeforeMutation) {

@@ -6,7 +6,7 @@
 ///    threads;
 ///  * DynamicMatcher's apply_batch, with the rebuilds it fires inside
 ///    batches, must stay bit-identical to the sequential apply loop on
-///    deletion-heavy and adaptive-rebuild schedules at any thread count.
+///    deletion-heavy and adaptive-rebuild schedules at any batch size.
 
 #include <gtest/gtest.h>
 
@@ -130,16 +130,12 @@ TEST(RebuildParallel, StaticWeakMatchingIdenticalAcrossThreadCounts) {
 
 using testdiff::RunResult;
 
-/// Flat-engine grid over three batch sizes, via the shared checker
-/// (tests/differential_util.hpp).
+/// Three batch sizes, via the shared checker (tests/differential_util.hpp).
 void expect_all_modes_equal(Vertex n, const std::vector<EdgeUpdate>& ups,
                             const DynamicMatcherConfig& cfg,
                             std::int64_t min_rebuilds = 1) {
-  testdiff::GridOptions opt;
-  opt.flat_batch_sizes = {5, 64, static_cast<std::int64_t>(ups.size())};
-  opt.run_sharded_grid = false;
-  opt.min_rebuilds = min_rebuilds;
-  testdiff::expect_all_engines_equal(n, ups, cfg, opt);
+  testdiff::expect_batches_equal_sequential(
+      n, ups, cfg, {5, 64, static_cast<std::int64_t>(ups.size())}, min_rebuilds);
 }
 
 class RebuildDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -194,7 +190,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RebuildDifferential,
 
 TEST(RebuildDifferential, HeavyRunCompetingReservations) {
   // Two matched pairs deleted back to back share one free hub: the first
-  // freed endpoint in commit order must win it, at every thread count.
+  // freed endpoint in commit order must win it, in a batch as in the loop.
   //   pairs (0,1), (2,3); hub 4 adjacent to 1, 2, 3; vertex 5 adjacent to 3.
   std::vector<EdgeUpdate> ups;
   ups.push_back(EdgeUpdate::ins(0, 1));
@@ -213,9 +209,7 @@ TEST(RebuildDifferential, HeavyRunCompetingReservations) {
   EXPECT_EQ(want.mates[3], 5);
   EXPECT_EQ(want.mates[0], kNoVertex);
   EXPECT_EQ(want.mates[2], kNoVertex);
-  for (const int threads : {1, 2, 8})
-    EXPECT_EQ(testdiff::run_flat_batched(6, ups, cfg, threads, 8), want)
-        << "threads=" << threads;
+  EXPECT_EQ(testdiff::run_batched(6, ups, cfg, 8), want);
 }
 
 TEST(RebuildDifferential, HeavyRunTruncatesAtRebuildTrigger) {

@@ -1,21 +1,21 @@
-/// Unified suite for the shared dynamic replay core (replay_core.hpp):
+/// Unified suite for the dynamic engine's replay core (DynamicMatcher):
 ///
-///  * ReplayCoreDifferential — the cross-engine fuzz/differential harness:
-///    one composite update stream per seed (every dyn_* workload shape plus
-///    the new mixed-churn shape) driven through the sequential apply loop,
-///    `DynamicMatcher::apply_batch` at 1/2/8 threads, and
-///    `ShardedDynamicMatcher` at {1,2,4} shards x {1,2,8} threads in a
-///    single loop (tests/differential_util.hpp), asserting matchings,
-///    rebuild positions, weak-call counts, and within-family words_touched
-///    agree at every grid point;
+///  * ReplayCoreDifferential — the fuzz/differential harness: one composite
+///    update stream per seed (every dyn_* workload shape plus the mixed-churn
+///    shape) driven through the sequential apply loop and `apply_batch` at
+///    several batch sizes (tests/differential_util.hpp), asserting
+///    matchings, rebuild positions, weak-call counts and words_touched agree;
 ///  * ReplayCoreGoldenTrace — byte-exact golden records (seed, stream
 ///    digest, rebuild positions, final matching hash) for six canonical
-///    workloads, so a silent replay-core behavior change fails even if all
-///    engines drift together (regenerate with BMF_UPDATE_GOLDEN=1);
+///    workloads, so a silent replay-core behavior change fails even if every
+///    path drifts together (regenerate with BMF_UPDATE_GOLDEN=1);
 ///  * ReplayCoreValidation — a rejected `apply` leaves every counter, the
-///    rebuild schedule, and the graph untouched, on both facades;
-///  * ReplayCoreConfig — death/invariant tests for the shared
-///    `DynamicCoreConfig` (0 shards, shards > n, negative threads, ...).
+///    rebuild schedule, the graph and the ledger untouched;
+///  * ReplayCoreConfig — invariant tests for the one engine config (0 shards,
+///    shards > n, negative threads, ...);
+///  * ReplayCoreLedger — the partition cost model behind `comm_stats()`:
+///    a hand-checked case, pinned golden values, batch-size independence
+///    and monotonicity.
 
 #include <gtest/gtest.h>
 
@@ -23,15 +23,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "differential_util.hpp"
 #include "dynamic/dynamic_matcher.hpp"
 #include "dynamic/replay_core.hpp"
-#include "dynamic/sharded_matcher.hpp"
 #include "dynamic/weak_oracle.hpp"
 #include "util/rng.hpp"
 #include "workloads/dyn_workload.hpp"
@@ -39,17 +38,16 @@
 namespace bmf {
 namespace {
 
-using testdiff::GridOptions;
 using testdiff::RunResult;
 
 // ---------------------------------------------------------------------------
-// Cross-engine differential fuzz over one composite stream per seed.
+// Differential fuzz over one composite stream per seed.
 // ---------------------------------------------------------------------------
 
 /// One stream that visits every workload shape back to back. Segments after
 /// the first start from a non-empty graph, so duplicate insertions and
-/// absent-edge deletions appear naturally — valid no-op updates that the
-/// engines must count identically.
+/// absent-edge deletions appear naturally — valid no-op updates that every
+/// batch slicing must count identically.
 std::vector<EdgeUpdate> composite_stream(std::uint64_t seed) {
   Rng rng(seed);
   std::vector<EdgeUpdate> ups;
@@ -73,9 +71,7 @@ TEST_P(ReplayCoreDifferential, CompositeStreamAllEnginesAllGridPoints) {
   DynamicMatcherConfig cfg;
   cfg.eps = 0.5;
   cfg.seed = GetParam();
-  GridOptions opt;
-  opt.flat_batch_sizes = {7, 64};
-  testdiff::expect_all_engines_equal(48, ups, cfg, opt);
+  testdiff::expect_batches_equal_sequential(48, ups, cfg, {7, 64});
 }
 
 TEST_P(ReplayCoreDifferential, MixedChurnFixedCadence) {
@@ -87,45 +83,36 @@ TEST_P(ReplayCoreDifferential, MixedChurnFixedCadence) {
   cfg.eps = 0.25;
   cfg.seed = GetParam();
   cfg.rebuild_every = 14;
-  GridOptions opt;
-  opt.min_rebuilds = 5;
-  testdiff::expect_all_engines_equal(40, ups, cfg, opt);
+  testdiff::expect_batches_equal_sequential(40, ups, cfg, {64}, /*min_rebuilds=*/5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplayCoreDifferential,
                          ::testing::Values(1u, 2u, 3u));
 
 TEST(ReplayCoreStats, RebuildStatsFoldAcrossSerialAndBatchedPaths) {
-  // rebuild_stats() folds every boost the core ran — from the serial loop
-  // and from apply_batch alike — and is part of the bit-identity
-  // contract, read here through the abstract ReplayEngine surface. The flat
-  // engine's comm ledger stays identically zero on every path.
+  // rebuild_stats() folds every boost the engine ran — from the serial loop
+  // and from apply_batch alike — and is part of the bit-identity contract,
+  // read here through the abstract ReplayEngine surface. At one shard the
+  // comm ledger stays identically zero on both paths.
   Rng rng(31);
   const auto ups = dyn_mixed_churn(40, 320, rng);
-  RebuildStats want;
-  bool first = true;
-  for (const int threads : {1, 8}) {
-    DynamicMatcherConfig cfg;
-    cfg.eps = 0.25;
-    cfg.seed = 31;
-    cfg.rebuild_every = 14;
-    cfg.threads = threads;
-    MatrixWeakOracle oracle(40);
-    DynamicMatcher dm(40, oracle, cfg);
-    for (const auto& batch : slice_updates(ups, 64)) dm.apply_batch(batch);
-    const ReplayEngine& engine = dm;
-    const RebuildStats got = engine.rebuild_stats();
-    EXPECT_EQ(got.rebuilds, engine.rebuilds());
-    EXPECT_EQ(got.weak_calls, engine.weak_calls());
+  DynamicMatcherConfig cfg;
+  cfg.eps = 0.25;
+  cfg.seed = 31;
+  cfg.rebuild_every = 14;
+  DynamicMatcher serial(40, cfg), batched(40, cfg);
+  for (const EdgeUpdate& up : ups) serial.apply(up);
+  for (const auto& batch : slice_updates(ups, 64)) batched.apply_batch(batch);
+  for (const ReplayEngine* engine : {static_cast<const ReplayEngine*>(&serial),
+                                     static_cast<const ReplayEngine*>(&batched)}) {
+    const RebuildStats& got = engine->rebuild_stats();
+    EXPECT_EQ(got.rebuilds, engine->rebuilds());
+    EXPECT_EQ(got.weak_calls, engine->weak_calls());
     EXPECT_GT(got.rebuilds, 0);
     EXPECT_LE(got.certified, got.rebuilds);
-    EXPECT_EQ(engine.comm_stats(), CommStats{}) << "threads=" << threads;
-    if (first) {
-      want = got;
-      first = false;
-    }
-    EXPECT_EQ(got, want) << "threads=" << threads;
+    EXPECT_EQ(engine->comm_stats(), CommStats{});
   }
+  EXPECT_EQ(batched.rebuild_stats(), serial.rebuild_stats());
 }
 
 TEST(ReplayCoreDifferential, MixedChurnStreamIsValid) {
@@ -296,27 +283,26 @@ TEST(ReplayCoreValidation, RejectedApplyChangesNothing) {
   DynamicMatcherConfig cfg;
   cfg.eps = 0.5;
   cfg.rebuild_every = 2;
-  cfg.threads = 1;
   MatrixWeakOracle oracle(n);
-  DynamicMatcher flat(n, oracle, cfg);
-  ShardedMatcherConfig scfg;
-  static_cast<DynamicCoreConfig&>(scfg) = cfg;
-  scfg.shards = 2;
-  ShardedDynamicMatcher sharded(n, scfg);
+  DynamicMatcher borrowed(n, oracle, cfg);
+  cfg.shards = 2;  // a live ledger must not move either
+  DynamicMatcher owned(n, cfg);
 
-  for (ReplayEngine* engine : {static_cast<ReplayEngine*>(&flat),
-                               static_cast<ReplayEngine*>(&sharded)}) {
-    const char* name = engine == &flat ? "flat" : "sharded";
+  for (ReplayEngine* engine : {static_cast<ReplayEngine*>(&borrowed),
+                               static_cast<ReplayEngine*>(&owned)}) {
+    const char* name = engine == &borrowed ? "borrowed oracle" : "2 shards";
     for (const EdgeUpdate& up : valid) engine->apply(up);
     for (const EdgeUpdate& up : bad) {
       const std::int64_t updates = engine->updates();
       const std::vector<std::int64_t> positions = engine->rebuild_positions();
       const std::int64_t edges = engine->snapshot().num_edges();
+      const CommStats comm = engine->comm_stats();
       EXPECT_THROW(engine->apply(up), std::invalid_argument)
           << name << " (" << up.u << ", " << up.v << ")";
       EXPECT_EQ(engine->updates(), updates) << name;
       EXPECT_EQ(engine->rebuild_positions(), positions) << name;
       EXPECT_EQ(engine->snapshot().num_edges(), edges) << name;
+      EXPECT_EQ(engine->comm_stats(), comm) << name;
     }
     // The rebuild schedule did not move: the next valid update is the 4th,
     // so with a budget of 2 it fires the second rebuild exactly there.
@@ -327,12 +313,8 @@ TEST(ReplayCoreValidation, RejectedApplyChangesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared config: one struct, one validation, one death test.
+// The one engine config: one struct, one validation.
 // ---------------------------------------------------------------------------
-
-static_assert(std::is_base_of_v<DynamicCoreConfig, DynamicMatcherConfig> &&
-                  std::is_base_of_v<DynamicCoreConfig, ShardedMatcherConfig>,
-              "both facades must share the replay-core config");
 
 TEST(ReplayCoreConfig, InvalidKnobsAreRejectedAtConstruction) {
   MatrixWeakOracle oracle(8);
@@ -354,19 +336,19 @@ TEST(ReplayCoreConfig, InvalidKnobsAreRejectedAtConstruction) {
     EXPECT_THROW(DynamicMatcher(8, oracle, cfg), std::invalid_argument);
   }
   {
-    ShardedMatcherConfig cfg;
+    DynamicMatcherConfig cfg;
     cfg.shards = 0;
-    EXPECT_THROW(ShardedDynamicMatcher(8, cfg), std::invalid_argument);
+    EXPECT_THROW(DynamicMatcher(8, cfg), std::invalid_argument);
   }
   {
-    ShardedMatcherConfig cfg;
+    DynamicMatcherConfig cfg;
     cfg.threads = -2;
-    EXPECT_THROW(ShardedDynamicMatcher(8, cfg), std::invalid_argument);
+    EXPECT_THROW(DynamicMatcher(8, cfg), std::invalid_argument);
   }
   {
-    ShardedMatcherConfig cfg;
+    DynamicMatcherConfig cfg;
     cfg.eps = -0.25;
-    EXPECT_THROW(ShardedDynamicMatcher(8, cfg), std::invalid_argument);
+    EXPECT_THROW(DynamicMatcher(8, cfg), std::invalid_argument);
   }
 }
 
@@ -379,109 +361,125 @@ TEST(ReplayCoreConfig, MoreShardsThanVerticesIsLegalAndBitIdentical) {
   cfg.eps = 0.5;
   cfg.seed = 9;
   const RunResult want = testdiff::run_sequential(6, ups, cfg);
+  // The threads knob is validated but read by nothing: this cell keeps it
+  // honest for as long as it exists.
+  cfg.threads = 8;
   for (const int shards : {8, 16}) {
-    const RunResult got = testdiff::run_sharded(6, ups, cfg, shards, 2, 32);
-    EXPECT_EQ(got, want) << "shards=" << shards;
+    cfg.shards = shards;
+    EXPECT_EQ(testdiff::run_batched(6, ups, cfg, 32), want) << "shards=" << shards;
   }
 }
 
-TEST(ReplayCoreConfig, SharedBaseCopiesWholesaleAcrossFacades) {
-  // The sharded runner copies the whole DynamicCoreConfig base (no ad-hoc
-  // field forwarding); a knob set on the flat config must reach the sharded
-  // engine. rebuild_every is observable through rebuild positions.
+// ---------------------------------------------------------------------------
+// The partition cost model behind comm_stats().
+// ---------------------------------------------------------------------------
+
+/// The ledger of `ups` applied one at a time at `shards`.
+CommStats ledger_of(Vertex n, std::span<const EdgeUpdate> ups,
+                    DynamicMatcherConfig cfg, int shards) {
+  cfg.shards = shards;
+  DynamicMatcher dm(n, cfg);
+  for (const EdgeUpdate& up : ups) dm.apply(up);
+  return dm.comm_stats();
+}
+
+TEST(ReplayCoreLedger, HandCheckedToggleCharges) {
+  // No rebuild fires (budget 100), so only the update side charges: each of
+  // the three toggles routes two 12-byte copies in one round. The duplicate
+  // insert and the empty update toggle nothing and cost nothing.
+  const std::vector<EdgeUpdate> ups{EdgeUpdate::ins(0, 1), EdgeUpdate::ins(0, 1),
+                                    EdgeUpdate::ins(2, 3), EdgeUpdate::del(0, 1),
+                                    EdgeUpdate::none()};
+  DynamicMatcherConfig cfg;
+  cfg.rebuild_every = 100;
+  EXPECT_EQ(ledger_of(4, ups, cfg, 1), CommStats{});
+  for (const int shards : {2, 5})
+    EXPECT_EQ(ledger_of(4, ups, cfg, shards), (CommStats{72, 3, 0, 0}))
+        << "shards=" << shards;
+}
+
+TEST(ReplayCoreLedger, CommLedgerGoldenValues) {
+  // Exact ledger values for one fixed stream, recorded once and pinned so a
+  // change to where the ledger is charged cannot silently change what it
+  // charges. Every toggle routes (360 rounds of 24 bytes); the rebuild side
+  // folds 30 snapshot distributions, the sweep gathers and the oracle's
+  // query gathers. The charge rule does not depend on the shard count once
+  // a boundary exists, so shards 2 and 4 agree.
   Rng rng(31);
-  const auto ups = dyn_random_updates(24, 160, 0.8, rng);
+  const auto ups = dyn_mixed_churn(48, 360, rng);
+  const CommStats sharded{8640, 360, 198144, 9080};
+  for (const int shards : {1, 2, 4}) {
+    DynamicMatcherConfig cfg;
+    cfg.eps = 0.25;
+    cfg.seed = 31;
+    cfg.rebuild_every = 12;
+    cfg.shards = shards;
+    DynamicMatcher dm(48, cfg);
+    for (const EdgeUpdate& up : ups) dm.apply(up);
+    ASSERT_EQ(dm.rebuilds(), 30) << "shards=" << shards;
+    const CommStats want = shards == 1 ? CommStats{} : sharded;
+    const CommStats got = dm.comm_stats();
+    EXPECT_EQ(got.batch_bytes, want.batch_bytes) << "shards=" << shards;
+    EXPECT_EQ(got.batch_rounds, want.batch_rounds) << "shards=" << shards;
+    EXPECT_EQ(got.rebuild_bytes, want.rebuild_bytes) << "shards=" << shards;
+    EXPECT_EQ(got.rebuild_rounds, want.rebuild_rounds) << "shards=" << shards;
+  }
+}
+
+TEST(ReplayCoreLedger, CommLedgerIndependentOfBatchSize) {
+  // The update path charges one routing round of two directed copies per
+  // toggled update, whatever batch it arrives in, so every batch slicing
+  // reproduces the serial apply loop's ledger exactly.
+  Rng rng(24);
+  const auto ups = dyn_shard_partitioned(48, 4, 380, 0.7, 0.7, rng);
+  for (const int shards : {2, 4}) {
+    DynamicMatcherConfig cfg;
+    cfg.eps = 0.25;
+    cfg.seed = 24;
+    cfg.rebuild_every = 40;  // room for multi-update batches between rebuilds
+    cfg.shards = shards;
+    DynamicMatcher serial(48, cfg);
+    for (const EdgeUpdate& up : ups) serial.apply(up);
+    const CommStats want = serial.comm_stats();
+    EXPECT_GT(serial.rebuilds(), 0);
+    EXPECT_GT(want.batch_rounds, 0);
+    EXPECT_EQ(want.batch_bytes, want.batch_rounds * 24);
+    for (const std::int64_t batch_size : {7, 64}) {
+      DynamicMatcher batched(48, cfg);
+      for (const auto& batch : slice_updates(ups, batch_size))
+        batched.apply_batch(batch);
+      EXPECT_EQ(batched.comm_stats(), want)
+          << "shards=" << shards << " batch=" << batch_size;
+    }
+  }
+}
+
+TEST(ReplayCoreLedger, CommLedgerMonotoneMidStream) {
+  Rng rng(21);
+  const auto ups = dyn_shard_partitioned(48, 4, 380, 0.7, 0.7, rng);
   DynamicMatcherConfig cfg;
   cfg.eps = 0.25;
-  cfg.seed = 31;
-  cfg.rebuild_every = 13;
-  const RunResult want = testdiff::run_sequential(24, ups, cfg);
-  ASSERT_GT(want.rebuilds, 3);
-  for (const std::int64_t p : want.rebuild_positions) EXPECT_EQ(p % 13, 0);
-  const RunResult got = testdiff::run_sharded(24, ups, cfg, 3, 2, 40);
-  EXPECT_EQ(got, want);
-}
-
-// ---------------------------------------------------------------------------
-// AdjacencyStore contract sufficiency (replay_core.hpp concepts).
-// ---------------------------------------------------------------------------
-
-/// Implements exactly the documented AdjacencyStorePolicy surface and nothing
-/// else — no graph() accessor, no facade, no extras. If this store drives the
-/// core bit-identically to the flat engine, the written contract is
-/// *sufficient*; the compile-fail harness (tests/compile_fail/) proves each
-/// member is *necessary*. Together they pin the contract from both sides.
-class MinimalStore {
- public:
-  MinimalStore(Vertex n, WeakOracle& oracle) : g_(n), oracle_(oracle) {}
-
-  [[nodiscard]] Vertex num_vertices() const { return g_.num_vertices(); }
-  [[nodiscard]] bool has_edge(Vertex u, Vertex v) const { return g_.has_edge(u, v); }
-  [[nodiscard]] std::span<const Vertex> neighbors(Vertex v) const {
-    return g_.neighbors(v);
+  cfg.seed = 21;
+  cfg.shards = 4;
+  DynamicMatcher dm(48, cfg);
+  CommStats last;
+  for (const auto& batch : slice_updates(ups, 32)) {
+    dm.apply_batch(batch);
+    const CommStats comm = dm.comm_stats();
+    EXPECT_GE(comm.batch_bytes, last.batch_bytes);
+    EXPECT_GE(comm.batch_rounds, last.batch_rounds);
+    EXPECT_GE(comm.rebuild_bytes, last.rebuild_bytes);
+    EXPECT_GE(comm.rebuild_rounds, last.rebuild_rounds);
+    last = comm;
   }
-  [[nodiscard]] Graph snapshot() const { return g_.snapshot(); }
-  [[nodiscard]] WeakOracle& oracle() { return oracle_; }
-
-  bool toggle(const EdgeUpdate& up) {
-    const bool changed = up.insert ? g_.insert(up.u, up.v) : g_.erase(up.u, up.v);
-    if (changed) {
-      if (up.insert)
-        oracle_.on_insert(up.u, up.v);
-      else
-        oracle_.on_erase(up.u, up.v);
-    }
-    return changed;
-  }
-
-  [[nodiscard]] CommStats comm_stats(const RebuildStats& /*rebuilt*/) const {
-    return {};
-  }
-
- private:
-  DynGraph g_;
-  WeakOracle& oracle_;
-};
-
-static_assert(AdjacencyStorePolicy<MinimalStore>,
-              "the documented contract surface must satisfy the concept");
-
-TEST(ReplayCoreContract, MinimalStoreIsSufficientAndBitIdentical) {
-  constexpr Vertex n = 40;
-  Rng rng(77);
-  const auto ups = dyn_mixed_churn(n, 320, rng);
-
-  // Reference: the flat facade on the serial apply loop.
-  DynamicMatcherConfig ref_cfg;
-  ref_cfg.eps = 0.25;
-  ref_cfg.seed = 77;
-  ref_cfg.rebuild_every = 14;
-  ref_cfg.threads = 1;
-  MatrixWeakOracle ref_oracle(n);
-  DynamicMatcher ref(n, ref_oracle, ref_cfg);
-  for (const auto& up : ups) ref.apply(up);
-  ASSERT_GT(ref.rebuilds(), 0);
-
-  for (const int threads : {1, 8}) {
-    DynamicCoreConfig cfg;
-    cfg.eps = 0.25;
-    cfg.seed = 77;
-    cfg.rebuild_every = 14;
-    cfg.threads = threads;
-    validate_core_config(cfg, /*shards=*/1, "MinimalStore");
-    MatrixWeakOracle oracle(n);
-    MinimalStore store(n, oracle);
-    DynamicReplayCore<MinimalStore> core(store, resolve_core_config(cfg));
-    for (const auto& batch : slice_updates(ups, 64)) core.apply_batch(batch);
-
-    EXPECT_EQ(core.rebuild_positions(), ref.rebuild_positions())
-        << "threads=" << threads;
-    EXPECT_EQ(core.rebuild_stats(), ref.rebuild_stats()) << "threads=" << threads;
-    EXPECT_EQ(core.matching().size(), ref.matching().size());
-    for (Vertex v = 0; v < n; ++v)
-      EXPECT_EQ(core.matching().mate(v), ref.matching().mate(v))
-          << "threads=" << threads << " v=" << v;
-  }
+  // Real shards moved real bytes on both sides of the ledger: updates routed
+  // copies and every rebuild distributed its snapshot.
+  EXPECT_GT(last.batch_bytes, 0);
+  EXPECT_GT(last.batch_rounds, 0);
+  EXPECT_GT(last.rebuild_bytes, 0);
+  EXPECT_GE(last.rebuild_rounds, dm.rebuilds());
+  EXPECT_EQ(last.coord_bytes(), last.batch_bytes + last.rebuild_bytes);
+  EXPECT_EQ(last.coord_rounds(), last.batch_rounds + last.rebuild_rounds);
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 ///    validate_core_config path and rejects its own knobs the same way.
 ///  * ServiceIngest — every submit entry point rejects an invalid update on
 ///    the caller's thread, before it is counted or enqueued.
-///  * ServiceView — the MatchingView read API over live engines and exported
-///    snapshots, exercised through the abstract ReplayEngine surface (no
-///    facade-specific casts anywhere).
+///  * ServiceView — the MatchingView read API over live engine views and
+///    exported snapshots, exercised through the abstract ReplayEngine
+///    surface.
 ///  * ServiceBasic — end-to-end golden runs: whatever the service coalesces,
 ///    the published matching equals the sequential engine's.
 ///  * ServiceMultiReaderStress — concurrent readers against a live writer;
@@ -16,17 +16,22 @@
 ///    its update count, with staleness <= max_lag. Runs under TSan in CI.
 ///  * ServiceWriterStall — the SSP writer-side gate: publication provably
 ///    waits for lagging readers, and close() overrides the stall.
+///  * ServiceFailure — an engine that throws on the writer thread fails the
+///    service observably instead of aborting the process.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dynamic/dynamic_matcher.hpp"
-#include "dynamic/sharded_matcher.hpp"
+#include "dynamic/replay_engine.hpp"
 #include "dynamic/weak_oracle.hpp"
 #include "service/matching_service.hpp"
 #include "differential_util.hpp"
@@ -172,7 +177,7 @@ TEST(ServiceConfigValidation, RejectsServiceKnobs) {
 
 TEST(ServiceConfigValidation, InheritedCoreKnobsGoThroughSharedPath) {
   // The service folds into validate_core_config: core and shard knobs are
-  // rejected by the same gate as the engines themselves.
+  // rejected by the same gate as the engine itself.
   {
     ServiceConfig cfg;
     cfg.eps = 0.0;
@@ -191,8 +196,7 @@ TEST(ServiceConfigValidation, InheritedCoreKnobsGoThroughSharedPath) {
 }
 
 TEST(ServiceConfigValidation, BorrowedEngineCtorValidatesToo) {
-  ShardedMatcherConfig ecfg;
-  ShardedDynamicMatcher engine(8, ecfg);
+  DynamicMatcher engine(8, DynamicMatcherConfig{});
   ServiceConfig cfg;
   cfg.max_lag = 0;
   EXPECT_THROW(MatchingService(engine, cfg), std::invalid_argument);
@@ -235,8 +239,7 @@ TEST(ServiceIngest, InvalidUpdatesAreRejectedOnTheCallersThread) {
 
 // -------------------------------------------------------------- ServiceView
 
-// The whole point of the redesigned surface: generic code sees only the
-// abstract engine, never a concrete facade.
+// Generic code sees only the abstract engine.
 testdiff::RunResult drive_via_engine(ReplayEngine& engine,
                                      std::span<const EdgeUpdate> ups) {
   for (const EdgeUpdate& up : ups) engine.apply(up);
@@ -258,18 +261,19 @@ TEST(ServiceView, EngineSurfaceNeedsNoFacadeCasts) {
   const auto ups = dyn_random_updates(n, 300, 0.7, rng);
 
   MatrixWeakOracle oracle(n);
-  DynamicMatcher flat(n, oracle, DynamicMatcherConfig{});
-  ShardedMatcherConfig scfg;
-  scfg.shards = 3;
-  ShardedDynamicMatcher sharded(n, scfg);
+  DynamicMatcher borrowed(n, oracle, DynamicMatcherConfig{});
+  DynamicMatcherConfig cfg;
+  cfg.shards = 3;
+  DynamicMatcher owned(n, cfg);
 
-  const testdiff::RunResult a = drive_via_engine(flat, ups);
-  const testdiff::RunResult b = drive_via_engine(sharded, ups);
-  // weak_calls differ per oracle family; everything the replay contract pins
-  // must agree even when driven purely through the abstract surface.
+  const testdiff::RunResult a = drive_via_engine(borrowed, ups);
+  const testdiff::RunResult b = drive_via_engine(owned, ups);
+  // Everything the replay contract pins must agree even when driven purely
+  // through the abstract surface.
   EXPECT_EQ(a.mates, b.mates);
   EXPECT_EQ(a.matching_size, b.matching_size);
   EXPECT_EQ(a.rebuild_positions, b.rebuild_positions);
+  EXPECT_EQ(a.weak_calls, b.weak_calls);
   EXPECT_GE(a.rebuilds, 1);
 }
 
@@ -384,16 +388,7 @@ TEST(ServiceBasic, CommittedMatchingEqualsSequentialGolden) {
   const ServiceStats st = svc.stats();
   EXPECT_EQ(st.updates_committed, static_cast<std::int64_t>(ups.size()));
   EXPECT_GE(st.epochs, static_cast<std::int64_t>(ups.size()) / 32);
-  EXPECT_EQ(st.epochs, static_cast<std::int64_t>(st.epoch_log.size()));
   EXPECT_EQ(st.rebuilds, want.rebuilds);
-  std::int64_t logged = 0;
-  for (const EpochRecord& e : st.epoch_log) {
-    EXPECT_GE(e.batch_size, 1);
-    EXPECT_LE(e.batch_size, cfg.coalesce_max);
-    EXPECT_GE(e.queue_depth, e.batch_size);
-    logged += e.batch_size;
-  }
-  EXPECT_EQ(logged, st.updates_committed);
 
   svc.close();
   // After close the engine is quiescent and must agree with the snapshot.
@@ -408,9 +403,9 @@ TEST(ServiceBasic, BorrowedEngineIsServedInPlace) {
   const testdiff::RunResult want =
       testdiff::run_sequential(n, ups, DynamicMatcherConfig{});
 
-  ShardedMatcherConfig ecfg;
+  DynamicMatcherConfig ecfg;
   ecfg.shards = 2;
-  ShardedDynamicMatcher engine(n, ecfg);
+  DynamicMatcher engine(n, ecfg);
   {
     ServiceConfig cfg;
     cfg.coalesce_max = 16;
@@ -604,6 +599,84 @@ TEST(ServiceWriterStall, DepartingReaderReleasesTheWriter) {
   }  // deregistration wakes the stalled writer
   svc.flush();
   EXPECT_EQ(svc.current_epoch(), 2);
+}
+
+// ---------------------------------------------------------- ServiceFailure
+
+/// Fault injection: forwards to a real engine, except that the `fail_at`-th
+/// apply_batch applies the first update of its batch and then throws, like
+/// a rebuild that runs out of memory mid-batch.
+class FailingEngine final : public ReplayEngine {
+ public:
+  FailingEngine(Vertex n, int fail_at)
+      : inner_(n, DynamicMatcherConfig{}), fail_at_(fail_at) {}
+
+  void apply(const EdgeUpdate& update) override { inner_.apply(update); }
+  void apply_batch(std::span<const EdgeUpdate> batch) override {
+    if (++batches_ == fail_at_) {
+      inner_.apply(batch.front());
+      throw std::runtime_error("injected engine failure");
+    }
+    inner_.apply_batch(batch);
+  }
+  [[nodiscard]] Vertex num_vertices() const override { return inner_.num_vertices(); }
+  [[nodiscard]] const Matching& matching() const override { return inner_.matching(); }
+  [[nodiscard]] Graph snapshot() const override { return inner_.snapshot(); }
+  [[nodiscard]] MatchingSnapshot export_snapshot(std::int64_t epoch) const override {
+    return inner_.export_snapshot(epoch);
+  }
+  [[nodiscard]] std::int64_t updates() const override { return inner_.updates(); }
+  [[nodiscard]] std::int64_t rebuilds() const override { return inner_.rebuilds(); }
+  [[nodiscard]] std::int64_t weak_calls() const override { return inner_.weak_calls(); }
+  [[nodiscard]] const std::vector<std::int64_t>& rebuild_positions() const override {
+    return inner_.rebuild_positions();
+  }
+  [[nodiscard]] const RebuildStats& rebuild_stats() const override {
+    return inner_.rebuild_stats();
+  }
+  [[nodiscard]] CommStats comm_stats() const override { return inner_.comm_stats(); }
+
+ private:
+  DynamicMatcher inner_;
+  int fail_at_;
+  int batches_ = 0;
+};
+
+TEST(ServiceFailure, EngineExceptionFailsTheServiceWithoutAborting) {
+  FailingEngine engine(8, /*fail_at=*/2);
+  {
+    MatchingService svc(engine, ServiceConfig{});
+    EXPECT_TRUE(svc.submit(EdgeUpdate::ins(0, 1)));
+    svc.flush();  // the first batch commits as epoch 1
+    EXPECT_EQ(svc.error(), nullptr);
+    ASSERT_EQ(svc.current_epoch(), 1);
+
+    // The second batch throws on the writer thread: flush stops waiting for
+    // a commit that cannot come and rethrows the engine's exception.
+    EXPECT_TRUE(svc.submit(EdgeUpdate::ins(2, 3)));
+    EXPECT_THROW(svc.flush(), std::runtime_error);
+    const std::exception_ptr error = svc.error();
+    ASSERT_NE(error, nullptr);
+    EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
+
+    // Intake is closed, as after close(), and flush keeps reporting.
+    EXPECT_FALSE(svc.submit(EdgeUpdate::ins(4, 5)));
+    EXPECT_FALSE(svc.try_submit(EdgeUpdate::ins(4, 5)));
+    const std::vector<EdgeUpdate> more{EdgeUpdate::ins(6, 7)};
+    EXPECT_FALSE(svc.submit_batch(more));
+    EXPECT_THROW(svc.flush(), std::runtime_error);
+
+    // Nothing from the failed batch was published: epoch 1 stays latest.
+    EXPECT_EQ(svc.current_epoch(), 1);
+    EXPECT_EQ(svc.latest()->updates_applied(), 1);
+    EXPECT_EQ(svc.latest()->size(), 1);
+    EXPECT_EQ(svc.stats().updates_committed, 1);
+    EXPECT_NO_THROW(svc.close());
+    EXPECT_NO_THROW(svc.close());
+  }  // the destructor completes too
+  // apply_batch's guarantee: a throw past validation leaves the batch partly
+  // applied in the engine.
+  EXPECT_EQ(engine.updates(), 2);
 }
 
 }  // namespace

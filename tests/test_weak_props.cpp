@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
+
 #include "dynamic/weak_oracle.hpp"
 #include "omv/omv_weak.hpp"
 #include "workloads/gen.hpp"
@@ -163,6 +167,88 @@ TEST(WeakOracleEdgeCases, CoverAllowsBothCopiesOfSameVertex) {
   const std::vector<Vertex> s{0, 1};
   const auto res = oracle.query_cover(s, s, 0.0);
   EXPECT_EQ(res.matching.size(), 2u);  // (0+,1-) and (1+,0-)
+}
+
+// WeakOracle::on_batch keeps its default serial body only because
+// perfbench/src/decorators.hpp overrides it; this pins that default.
+
+/// A randomized update batch whose `structural` flags mark exactly the
+/// updates that toggle edge presence given earlier batch members, mixing
+/// structural and non-structural entries: duplicate inserts, deletes of
+/// absent edges, and same-edge toggles within one batch.
+struct FlaggedBatch {
+  std::vector<EdgeUpdate> updates;
+  std::vector<std::uint8_t> structural;
+};
+
+FlaggedBatch random_flagged_batch(Vertex n, std::size_t count, Rng& rng) {
+  FlaggedBatch b;
+  std::unordered_set<std::uint64_t> present;  // evolving presence under replay
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto u = static_cast<Vertex>(rng.next_below(static_cast<std::uint64_t>(n)));
+    auto v = static_cast<Vertex>(rng.next_below(static_cast<std::uint64_t>(n - 1)));
+    if (v >= u) ++v;
+    const bool ins = rng.next_bool(0.6);
+    const std::uint64_t key = edge_key(u, v);
+    // Structural iff the update toggles presence: insert of an absent edge
+    // or delete of a present one.
+    const bool toggles = ins != present.contains(key);
+    b.updates.push_back(ins ? EdgeUpdate::ins(u, v) : EdgeUpdate::del(u, v));
+    if (toggles) {
+      b.structural.push_back(1);
+      if (ins)
+        present.insert(key);
+      else
+        present.erase(key);
+    } else {
+      b.structural.push_back(0);
+    }
+  }
+  return b;
+}
+
+class WeakOracleOnBatch : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WeakOracleOnBatch, MatrixOracleBatchEqualsSerialInsertEraseLoop) {
+  Rng rng(GetParam());
+  const Vertex n = 48;
+  const FlaggedBatch b = random_flagged_batch(n, 160, rng);
+
+  MatrixWeakOracle want(n);
+  for (std::size_t i = 0; i < b.updates.size(); ++i) {
+    if (!b.structural[i]) continue;
+    if (b.updates[i].insert)
+      want.on_insert(b.updates[i].u, b.updates[i].v);
+    else
+      want.on_erase(b.updates[i].u, b.updates[i].v);
+  }
+
+  for (const int threads : {1, 2, 8}) {
+    MatrixWeakOracle got(n);
+    got.on_batch(b.updates, b.structural, threads);
+    for (Vertex u = 0; u < n; ++u)
+      for (Vertex v = 0; v < n; ++v)
+        ASSERT_EQ(got.adjacency().get(u, v), want.adjacency().get(u, v))
+            << "threads=" << threads << " bit (" << u << ", " << v << ")";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WeakOracleOnBatch, ::testing::Values(1u, 2u, 3u));
+
+TEST(WeakOracleCostAccounting, RowsQueriedCountsTheProbedSide) {
+  // rows_queried() adds |S| per query and |S+| per cover query, whatever the
+  // answers; it prices the rebuild-side query gathers of CommStats.
+  MatrixWeakOracle oracle(6);
+  oracle.on_insert(0, 1);
+  EXPECT_EQ(oracle.rows_queried(), 0);
+  (void)oracle.query(std::vector<Vertex>{0, 1, 2}, 0.0);
+  EXPECT_EQ(oracle.rows_queried(), 3);
+  (void)oracle.query_cover(std::vector<Vertex>{4, 5}, std::vector<Vertex>{0, 1, 2, 3},
+                           0.0);
+  EXPECT_EQ(oracle.rows_queried(), 5);
+  (void)oracle.query(std::vector<Vertex>{}, 0.0);
+  EXPECT_EQ(oracle.rows_queried(), 5);
+  EXPECT_EQ(oracle.calls(), 3);
 }
 
 }  // namespace
