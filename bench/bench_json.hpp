@@ -2,10 +2,10 @@
 
 /// Machine-readable bench records for the CI perf trajectory.
 ///
-/// Each bench appends one Record per (workload, threads) cell and writes one
-/// JSON array per process; the bench-smoke CI job concatenates the arrays
-/// with `jq -s add` into the BENCH_pr.json artifact. Keep the schema stable:
-/// downstream tooling diffs these files across commits.
+/// Each bench appends one Record per cell and writes one JSON array per
+/// process; the bench-smoke CI job concatenates the arrays with `jq -s add`
+/// into the BENCH_pr.json artifact. Keep the schema stable: downstream
+/// tooling diffs these files across commits.
 ///
 /// Field conventions: `updates_per_sec` is 0 for static (non-update)
 /// workloads; `rebuild_ms` is the whole-run wall clock in milliseconds
@@ -16,11 +16,8 @@
 /// populates them); `coord_bytes` / `coord_rounds` are the coordinator
 /// message ledger (CommStats, replay_core.hpp) — bytes and rounds that would
 /// cross the shard boundary over the whole run — and are 0 for one-shard
-/// engines and benches that record no ledger; `ns_per_probe`
-/// is the mean wall-clock cost of one oracle probe kernel call in
-/// nanoseconds (0 for benches without a probe microbench — only the
-/// probe-kernel bench populates it). Names must not contain characters
-/// needing JSON escapes.
+/// engines and benches that record no ledger. Names must not contain
+/// characters needing JSON escapes.
 
 #include <cstdint>
 #include <cstdio>
@@ -43,7 +40,6 @@ struct Record {
   double read_p99_us = 0.0;
   std::int64_t coord_bytes = 0;
   std::int64_t coord_rounds = 0;
-  double ns_per_probe = 0.0;
 };
 
 class Writer {
@@ -62,14 +58,13 @@ class Writer {
                    "\"updates_per_sec\": %.1f, \"rebuild_ms\": %.3f, "
                    "\"rebuilds\": %lld, \"identical\": %s, "
                    "\"read_p50_us\": %.3f, \"read_p99_us\": %.3f, "
-                   "\"coord_bytes\": %lld, \"coord_rounds\": %lld, "
-                   "\"ns_per_probe\": %.3f}%s\n",
+                   "\"coord_bytes\": %lld, \"coord_rounds\": %lld}%s\n",
                    r.bench.c_str(), r.workload.c_str(), r.threads,
                    r.updates_per_sec, r.rebuild_ms,
                    static_cast<long long>(r.rebuilds),
                    r.identical ? "true" : "false", r.read_p50_us, r.read_p99_us,
                    static_cast<long long>(r.coord_bytes),
-                   static_cast<long long>(r.coord_rounds), r.ns_per_probe,
+                   static_cast<long long>(r.coord_rounds),
                    i + 1 < records_.size() ? "," : "");
     }
     std::fprintf(f, "]\n");

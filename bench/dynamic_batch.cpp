@@ -3,9 +3,8 @@
 /// DynamicMatcher::apply_batch validates a whole batch, then applies it one
 /// update at a time — the sequential apply loop behind one call (the
 /// determinism contract in src/dynamic/replay_core.hpp). This bench measures
-/// updates/sec of the batched entry point against the one-at-a-time loop
-/// (the engine reads no thread count: the `threads` axis only checks that
-/// the knob changes nothing), and verifies the identity:
+/// updates/sec of the batched entry point against the one-at-a-time loop,
+/// and verifies the identity:
 ///
 ///  * a large update-path run (rebuilds pushed out of the measurement), where
 ///    the batched rows show the per-batch overhead and nothing else;
@@ -76,23 +75,18 @@ void run_comparison(benchjson::Writer& out, const char* workload,
   t.add_row({"sequential", Table::num(seq_time, 4),
              Table::num(count / seq_time, 0), Table::num(1.0, 2),
              Table::integer(reference.rebuilds), "ref"});
-  for (const int threads : {1, 2, 8}) {
-    cfg.threads = threads;
-    MatrixWeakOracle oracle(n);
-    DynamicMatcher dm(n, oracle, cfg);
-    Timer timer;
-    for (const auto& batch : batches) dm.apply_batch(batch);
-    const double s = timer.seconds();
-    const RunState got = state_of(dm);
-    const bool same = got == reference;
-    char mode[32];
-    std::snprintf(mode, sizeof mode, "batched %dT", threads);
-    t.add_row({mode, Table::num(s, 4), Table::num(count / s, 0),
-               Table::num(seq_time / s, 2), Table::integer(got.rebuilds),
-               same ? "yes" : "NO"});
-    out.add({"dynamic_batch", workload, threads, count / s, s * 1000.0,
-             got.rebuilds, same});
-  }
+  MatrixWeakOracle oracle(n);
+  DynamicMatcher dm(n, oracle, cfg);
+  Timer timer;
+  for (const auto& batch : batches) dm.apply_batch(batch);
+  const double s = timer.seconds();
+  const RunState got = state_of(dm);
+  const bool same = got == reference;
+  t.add_row({"batched", Table::num(s, 4), Table::num(count / s, 0),
+             Table::num(seq_time / s, 2), Table::integer(got.rebuilds),
+             same ? "yes" : "NO"});
+  out.add({"dynamic_batch", workload, 1, count / s, s * 1000.0, got.rebuilds,
+           same});
   t.print(title);
 }
 

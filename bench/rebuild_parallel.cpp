@@ -1,21 +1,19 @@
-/// Theorem 6.2 rebuild engine: wall clock + bit-identity at 1/2/8 configured
-/// threads.
+/// Theorem 6.2 rebuild engine: wall clock + bit-identity of the batched path.
 ///
 /// Three workloads:
 ///
-///  * `static_boost` — one boost_matching run (the initial matching's edge
-///    filter takes the thread count; the FrameworkDriver H'/H'_s sweeps are
-///    serial); rebuild_ms is the boost wall time.
+///  * `static_boost` — one boost_matching run; rebuild_ms is the boost wall
+///    time.
 ///  * `churn_rebuilds` — a churning planted matching under the adaptive
 ///    rebuild schedule: rebuild-dominated dynamic stream, so the rebuild is
 ///    nearly the whole wall clock.
 ///  * `deletion_teardown` — planted pairs torn down by consecutive matched
 ///    deletions: exercises matched-edge repair on long deletion runs.
 ///
-/// Every cell is checked bit-identical against the sequential reference; any
-/// divergence prints NO and the process exits non-zero (the bench-smoke CI
-/// job doubles as a Release-mode determinism check). The dynamic engine reads
-/// no thread count, so its rows differ only by timing noise.
+/// Every dynamic cell's batched run is checked bit-identical against the
+/// sequential reference; any divergence prints NO and the process exits
+/// non-zero (the bench-smoke CI job doubles as a Release-mode determinism
+/// check).
 
 #include <cstdio>
 #include <thread>
@@ -68,34 +66,19 @@ void bench_static_boost(benchjson::Writer& out, bool quick) {
   Rng rng(2026);
   const Graph g = gen_random_graph(n, m, rng);
 
-  Table t({"mode", "time (s)", "matching", "oracle calls", "identical"});
-  std::vector<Vertex> reference;
-  double t1 = 0.0;
-  for (const int threads : {1, 2, 8}) {
-    RandomGreedyMatchingOracle oracle(7);
-    CoreConfig cfg;
-    cfg.eps = 0.5;
-    cfg.threads = threads;
-    Timer timer;
-    const BoostResult r = boost_matching(g, oracle, cfg);
-    const double s = timer.seconds();
-    if (threads == 1) t1 = s;
-    std::vector<Vertex> mates;
-    for (Vertex v = 0; v < n; ++v) mates.push_back(r.matching.mate(v));
-    const bool same = threads == 1 || mates == reference;
-    if (threads == 1) reference = std::move(mates);
-    char mode[32];
-    std::snprintf(mode, sizeof mode, "boost %dT", threads);
-    t.add_row({mode, Table::num(s, 3), Table::integer(r.matching.size()),
-               Table::integer(r.total_oracle_calls),
-               threads == 1 ? "ref" : (same ? "yes" : "NO")});
-    out.add({"rebuild_parallel", "static_boost", threads, 0.0, s * 1000.0, 0,
-             same});
-  }
-  char title[96];
-  std::snprintf(title, sizeof title,
-                "static boost (n=%d, m=%lld, 1T=%.3fs)", n,
-                static_cast<long long>(m), t1);
+  RandomGreedyMatchingOracle oracle(7);
+  CoreConfig cfg;
+  cfg.eps = 0.5;
+  Timer timer;
+  const BoostResult r = boost_matching(g, oracle, cfg);
+  const double s = timer.seconds();
+  Table t({"mode", "time (s)", "matching", "oracle calls"});
+  t.add_row({"boost", Table::num(s, 3), Table::integer(r.matching.size()),
+             Table::integer(r.total_oracle_calls)});
+  out.add({"rebuild_parallel", "static_boost", 1, 0.0, s * 1000.0, 0, true});
+  char title[64];
+  std::snprintf(title, sizeof title, "static boost (n=%d, m=%lld)", n,
+                static_cast<long long>(m));
   t.print(title);
 }
 
@@ -122,27 +105,22 @@ void bench_dynamic(benchjson::Writer& out, const char* workload,
   t.add_row({"sequential", Table::num(seq_time, 4),
              Table::num(count / seq_time, 0), Table::num(1.0, 2),
              Table::integer(reference.rebuilds), "ref"});
-  for (const int threads : {1, 2, 8}) {
-    cfg.threads = threads;
-    MatrixWeakOracle oracle(n);
-    DynamicMatcher dm(n, oracle, cfg);
-    Timer timer;
-    for (const auto& batch : slice_updates(updates, batch_size))
-      dm.apply_batch(batch);
-    const double s = timer.seconds();
-    const RunState got = state_of(dm);
-    const bool same = got == reference;
-    char mode[32];
-    std::snprintf(mode, sizeof mode, "batched %dT", threads);
-    t.add_row({mode, Table::num(s, 4), Table::num(count / s, 0),
-               Table::num(seq_time / s, 2), Table::integer(got.rebuilds),
-               same ? "yes" : "NO"});
-    benchjson::Record rec{"rebuild_parallel", workload, threads, count / s,
-                          s * 1000.0, got.rebuilds, same};
-    rec.coord_bytes = got.comm.coord_bytes();
-    rec.coord_rounds = got.comm.coord_rounds();
-    out.add(rec);
-  }
+  MatrixWeakOracle oracle(n);
+  DynamicMatcher dm(n, oracle, cfg);
+  Timer timer;
+  for (const auto& batch : slice_updates(updates, batch_size))
+    dm.apply_batch(batch);
+  const double s = timer.seconds();
+  const RunState got = state_of(dm);
+  const bool same = got == reference;
+  t.add_row({"batched", Table::num(s, 4), Table::num(count / s, 0),
+             Table::num(seq_time / s, 2), Table::integer(got.rebuilds),
+             same ? "yes" : "NO"});
+  benchjson::Record rec{"rebuild_parallel", workload, 1, count / s, s * 1000.0,
+                        got.rebuilds, same};
+  rec.coord_bytes = got.comm.coord_bytes();
+  rec.coord_rounds = got.comm.coord_rounds();
+  out.add(rec);
   t.print(workload);
 }
 
@@ -178,7 +156,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!out.all_identical()) {
-    std::fprintf(stderr, "DIVERGENCE: a parallel run differed from the "
+    std::fprintf(stderr, "DIVERGENCE: a batched run differed from the "
                          "sequential reference\n");
     return 1;
   }

@@ -9,6 +9,7 @@
 /// mu(G) via Edmonds' algorithm and prints the achieved ratio.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -47,19 +48,31 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--eps") {
-      eps = std::atof(next());
+      const char* text = next();
+      char* end = nullptr;
+      eps = std::strtod(text, &end);
+      if (end == text || *end != '\0') {
+        usage();
+        return 2;
+      }
     } else if (arg == "--mode") {
       mode = next();
     } else if (arg == "--format") {
       format = next();
     } else if (arg == "--exact") {
       exact = true;
-    } else if (arg.rfind("--", 0) == 0) {
+    } else if (arg.rfind("--", 0) == 0 || !file.empty()) {
       usage();
       return 2;
     } else {
       file = arg;
     }
+  }
+  // There is no weighted DIMACS reader.
+  if ((format != "edgelist" && format != "dimacs") ||
+      (format == "dimacs" && mode == "weighted")) {
+    usage();
+    return 2;
   }
   if (!(eps > 0 && eps <= 1)) {  // also rejects NaN
     std::fprintf(stderr, "eps must be in (0, 1]\n");

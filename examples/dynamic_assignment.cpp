@@ -62,9 +62,7 @@ int main() {
   // arrivals) and applies them in one apply_batch call per tick. The batch
   // determinism contract guarantees the exact same assignment history.
   MatrixWeakOracle batch_oracle(n);
-  DynamicMatcherConfig batch_cfg = cfg;
-  batch_cfg.threads = 0;  // hardware concurrency
-  DynamicMatcher batch_matcher(n, batch_oracle, batch_cfg);
+  DynamicMatcher batch_matcher(n, batch_oracle, cfg);
   Timer bt;
   for (const auto& tick : slice_updates(updates, /*batch_size=*/200))
     batch_matcher.apply_batch(tick);

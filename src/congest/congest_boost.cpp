@@ -37,7 +37,7 @@ class AccountingDriver final : public PassBundleDriver {
 
 CongestBoostResult congest_boost_matching(const Graph& g, const CoreConfig& cfg) {
   CongestBoostResult result;
-  CongestMatchingOracle oracle(cfg.seed, cfg.threads);
+  CongestMatchingOracle oracle(cfg.seed);
 
   result.boost.matching = framework_initial_matching(g, oracle, cfg);
   const std::int64_t initial_calls = oracle.calls();

@@ -20,9 +20,9 @@ CongestMatchingResult congest_maximal_matching(Network& net, Rng& rng) {
 
   std::vector<Vertex> mate(static_cast<std::size_t>(n), kNoVertex);
   // Per-vertex random streams, split deterministically from the caller's
-  // generator: vertex handlers run concurrently inside Network::round, so
-  // they must not share one Rng (a shared stream would both race and make
-  // the draw order depend on the schedule).
+  // generator: each vertex draws only from its own stream, so a vertex's
+  // proposals do not depend on how many draws other vertices made. The
+  // split order fixes every output of this function.
   std::vector<Rng> vertex_rng;
   vertex_rng.reserve(static_cast<std::size_t>(n));
   for (Vertex v = 0; v < n; ++v) vertex_rng.push_back(rng.split());
@@ -93,9 +93,8 @@ CongestMatchingResult congest_maximal_matching(Network& net, Rng& rng) {
     // pairs are NOT vertex-disjoint — a vertex can have its own proposal
     // accepted while also being the acceptor of another proposal — so
     // handlers only record the acceptance they received (per-vertex slot),
-    // and the matches are applied after the barrier in vertex order: the
-    // same global greedy the serial sweep performed, now independent of the
-    // handler execution schedule.
+    // and the matches are applied after the round in vertex order: one
+    // global greedy over the accepted proposals.
     std::fill(accepted_from.begin(), accepted_from.end(), kNoVertex);
     net.round([&](Vertex v, const Network::Inbox& inbox, const Network::Sender&) {
       for (const auto& [from, word] : inbox) {
@@ -130,7 +129,7 @@ OracleMatching CongestMatchingOracle::find_impl(const OracleGraph& h) {
   GraphBuilder b(h.n);
   for (const auto& [u, v] : h.edges) b.add_edge(u, v);
   const Graph g = b.build();
-  Network net(g, threads_);
+  Network net(g);
   CongestMatchingResult r = congest_maximal_matching(net, rng_);
   rounds_ += r.rounds;
   return std::move(r.matching);

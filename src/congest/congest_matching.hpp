@@ -26,7 +26,7 @@ struct CongestMatchingResult {
 /// Runs the handshake algorithm on `net`'s graph until no free-free edge
 /// remains. Advances the network's round counter. Proposal randomness comes
 /// from per-vertex streams split from `rng` up front, so the outcome depends
-/// only on the seed, never on the network's thread count.
+/// only on the seed.
 [[nodiscard]] CongestMatchingResult congest_maximal_matching(Network& net, Rng& rng);
 
 /// A_matching backed by a CONGEST simulation on each derived graph H (the
@@ -35,14 +35,7 @@ struct CongestMatchingResult {
 /// boosted wrapper charges separately). Tracks cumulative simulated rounds.
 class CongestMatchingOracle final : public MatchingOracle {
  public:
-  /// threads: simulation threads for each derived-graph network (1 = serial,
-  /// the standalone default — derived graphs are poly(1/eps)-sized, so
-  /// fan-out often costs more than it saves; 0 = hardware concurrency).
-  /// congest_boost_matching overrides this with CoreConfig::threads so the
-  /// boosted pipeline runs on the pool; set cfg.threads = 1 there to get the
-  /// serial sweep back. Results are identical either way.
-  explicit CongestMatchingOracle(std::uint64_t seed, int threads = 1)
-      : rng_(seed), threads_(threads) {}
+  explicit CongestMatchingOracle(std::uint64_t seed) : rng_(seed) {}
 
   [[nodiscard]] double approx_factor() const override { return 2.0; }
   [[nodiscard]] std::int64_t rounds() const { return rounds_; }
@@ -52,7 +45,6 @@ class CongestMatchingOracle final : public MatchingOracle {
 
  private:
   Rng rng_;
-  int threads_ = 1;
   std::int64_t rounds_ = 0;
 };
 

@@ -3,47 +3,28 @@
 #include <deque>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bmf::congest {
 
-Network::Network(const Graph& g, int threads)
-    : g_(g),
-      threads_(threads),
-      inboxes_(static_cast<std::size_t>(g.num_vertices())) {}
+Network::Network(const Graph& g)
+    : g_(g), inboxes_(static_cast<std::size_t>(g.num_vertices())) {}
 
 void Network::round(
     const std::function<void(Vertex v, const Inbox&, const Sender&)>& step) {
   const Vertex n = g_.num_vertices();
-
-  // Parallel phase: every vertex handler runs against its immutable inbox
-  // and buffers sends in a private outbox of (to, word) pairs.
-  std::vector<std::vector<std::pair<Vertex, std::uint64_t>>> outbox(
-      static_cast<std::size_t>(n));
-  parallel_for_threads(threads_, n, [&](std::int64_t vi) {
-    const auto v = static_cast<Vertex>(vi);
-    auto& out = outbox[static_cast<std::size_t>(v)];
-    const Sender send = [&](Vertex to, std::uint64_t word) {
-      BMF_ASSERT_MSG(g_.has_edge(v, to), "CONGEST send along a non-edge");
-      out.emplace_back(to, word);
-    };
-    step(v, inboxes_[static_cast<std::size_t>(v)], send);
-  });
-
-  // Barrier passed; merge in vertex order (= the serial delivery schedule,
-  // so inbox ordering is independent of the thread count) and account for
-  // per-channel congestion violations centrally.
   std::vector<Inbox> next(static_cast<std::size_t>(n));
   std::unordered_map<std::uint64_t, int> channel_use;
   for (Vertex v = 0; v < n; ++v) {
-    for (const auto& [to, word] : outbox[static_cast<std::size_t>(v)]) {
+    const Sender send = [&](Vertex to, std::uint64_t word) {
+      BMF_ASSERT_MSG(g_.has_edge(v, to), "CONGEST send along a non-edge");
       const std::uint64_t channel =
           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)) << 32) |
           static_cast<std::uint32_t>(to);
       if (++channel_use[channel] > 1) ++violations_;
       next[static_cast<std::size_t>(to)].emplace_back(v, word);
       ++messages_;
-    }
+    };
+    step(v, inboxes_[static_cast<std::size_t>(v)], send);
   }
   inboxes_ = std::move(next);
   ++rounds_;

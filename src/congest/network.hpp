@@ -8,12 +8,11 @@
 /// messages. Sending two messages over the same edge in one round is a model
 /// violation and is counted (tests require zero violations).
 ///
-/// Vertex handlers run concurrently on the shared thread pool (the `threads`
-/// constructor knob). Each vertex buffers sends in a private outbox; after a
-/// barrier the outboxes are merged into next-round inboxes in vertex order,
-/// reproducing the serial delivery schedule exactly, so results are
-/// bit-identical at any thread count. Handlers may mutate per-vertex state
-/// but must not write shared state without their own synchronization.
+/// Vertex handlers run in vertex order; every send lands in the recipient's
+/// next-round inbox, so each inbox lists its senders in ascending id. The
+/// round is serial because a pool fan-out over the handlers measured slower
+/// than this loop. Handlers should mutate only their own vertex's state:
+/// anything a vertex learns from another must arrive as a message.
 
 #include <cstdint>
 #include <functional>
@@ -26,9 +25,7 @@ namespace bmf::congest {
 
 class Network {
  public:
-  /// threads: 0 = hardware concurrency, 1 = serial. Simulation results are
-  /// identical either way.
-  explicit Network(const Graph& g, int threads = 0);
+  explicit Network(const Graph& g);
 
   [[nodiscard]] const Graph& graph() const { return g_; }
   [[nodiscard]] std::int64_t rounds() const { return rounds_; }
@@ -49,7 +46,6 @@ class Network {
 
  private:
   const Graph& g_;
-  int threads_ = 0;
   std::int64_t rounds_ = 0;
   std::int64_t messages_ = 0;
   std::int64_t violations_ = 0;

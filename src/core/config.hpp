@@ -54,14 +54,12 @@ struct CoreConfig {
 
   std::uint64_t seed = 1;
 
-  /// Thread-pool fan-out for the parallel loops that take their thread count
-  /// from this config: independent boosting repetitions, oracle sampling,
-  /// simulator rounds, and the initial matching's free-free edge filter. The
-  /// FrameworkDriver's H'/H'_s sweeps (and so every Theorem 6.2 rebuild) are
-  /// serial and ignore it. 0 = std::thread::hardware_concurrency(), 1 =
-  /// serial. Every parallel path follows the deterministic-merge discipline
-  /// of util/thread_pool.hpp, so for a fixed `seed` the results are
-  /// bit-identical at any thread count.
+  /// Thread-pool fan-out of boost_matching_ensemble's independent
+  /// repetitions, the only reader of this field; boost_matching, the CONGEST
+  /// simulator and every Theorem 6.2 rebuild are serial and ignore it.
+  /// 0 = std::thread::hardware_concurrency(), 1 = serial. The ensemble writes
+  /// one slot per repetition (util/thread_pool.hpp), so for a fixed `seed`
+  /// its result is bit-identical at any thread count.
   int threads = 0;
 
   /// --- derived quantities (Section 4) ---

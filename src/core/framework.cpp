@@ -1,7 +1,6 @@
 #include "core/framework.hpp"
 
 #include <algorithm>
-#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -17,14 +16,6 @@
 // certificate instead of issuing it falsely.
 
 namespace bmf {
-namespace {
-
-/// Below this edge count the pool round-trip costs more than the initial
-/// matching's free-free filter; the filter then runs inline with identical
-/// output (see gated_threads).
-constexpr std::int64_t kParallelEdgeFilterMin = 2048;
-
-}  // namespace
 
 FrameworkDriver::FrameworkDriver(const Graph& g, MatchingOracle& oracle,
                                  const CoreConfig& cfg)
@@ -281,42 +272,11 @@ Matching framework_initial_matching(const Graph& g, MatchingOracle& oracle,
                                     const CoreConfig& cfg) {
   Matching m(g.num_vertices());
   const auto bound = static_cast<std::int64_t>(2.0 * oracle.approx_factor()) + 1;
-  const std::span<const Edge> edges = g.edges();
-  // Chunked parallel filter of the free-free subgraph; chunk buffers merge in
-  // chunk order, so the edge sequence equals the serial scan for any chunk
-  // count (the chunk count itself never changes the output).
-  const int filter_threads = gated_threads(static_cast<std::int64_t>(edges.size()),
-                                           kParallelEdgeFilterMin, cfg.threads);
-  const std::int64_t nchunks =
-      ThreadPool::resolve_threads(filter_threads) > 1
-          ? static_cast<std::int64_t>(ThreadPool::resolve_threads(cfg.threads)) * 4
-          : 1;
   for (std::int64_t i = 0;; ++i) {
     OracleGraph h;
     h.n = g.num_vertices();
-    if (nchunks > 1) {
-      std::vector<std::vector<std::pair<std::int32_t, std::int32_t>>> chunks(
-          static_cast<std::size_t>(nchunks));
-      const auto total = static_cast<std::int64_t>(edges.size());
-      // filter_threads, not cfg.threads: nchunks > 1 already implies the gate
-      // passed, but the fan-out must route through the gated count so the
-      // size-gate discipline is uniform (and machine-checkable).
-      parallel_for_threads(filter_threads, nchunks, [&](std::int64_t c) {
-        const std::int64_t lo = total * c / nchunks;
-        const std::int64_t hi = total * (c + 1) / nchunks;
-        auto& out = chunks[static_cast<std::size_t>(c)];
-        for (std::int64_t e = lo; e < hi; ++e) {
-          const Edge& edge = edges[static_cast<std::size_t>(e)];
-          if (m.is_free(edge.u) && m.is_free(edge.v))
-            out.emplace_back(edge.u, edge.v);
-        }
-      });
-      for (const auto& chunk : chunks)
-        h.edges.insert(h.edges.end(), chunk.begin(), chunk.end());
-    } else {
-      for (const Edge& e : edges)
-        if (m.is_free(e.u) && m.is_free(e.v)) h.edges.emplace_back(e.u, e.v);
-    }
+    for (const Edge& e : g.edges())
+      if (m.is_free(e.u) && m.is_free(e.v)) h.edges.emplace_back(e.u, e.v);
     if (h.edges.empty()) break;
     const OracleMatching found = oracle.find_matching(h);
     if (found.empty()) break;
@@ -362,7 +322,6 @@ EnsembleResult boost_matching_ensemble(const Graph& g,
   parallel_for_threads(ensemble_threads, repetitions, [&](std::int64_t r) {
     CoreConfig local = cfg;
     local.seed = seeds[static_cast<std::size_t>(r)];
-    local.threads = 1;  // repetitions already occupy the pool; don't nest
     const std::unique_ptr<MatchingOracle> oracle = make_oracle(local.seed);
     slots[static_cast<std::size_t>(r)] = boost_matching(g, *oracle, local);
   });

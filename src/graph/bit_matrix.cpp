@@ -1,155 +1,32 @@
 #include "graph/bit_matrix.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <vector>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define BMF_BIT_KERNELS_AVX2 1
-#include <immintrin.h>
-#endif
 
 namespace bmf {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Kernel dispatch. The build does not pass -mavx2 globally (the binary must
-// run on any x86-64), so the vector bodies carry a target attribute and are
-// only reachable behind a runtime __builtin_cpu_supports check. The scalar
-// override (API call or BMF_FORCE_SCALAR in the environment) lets CI pin
-// both paths on the same machine.
-// ---------------------------------------------------------------------------
-
-bool env_force_scalar() {
-  // Read once before any worker thread exists (static-init of the flag).
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read-only probe at first use
-  const char* env = std::getenv("BMF_FORCE_SCALAR");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
-std::atomic<bool>& force_scalar_flag() {
-  static std::atomic<bool> flag(env_force_scalar());
-  return flag;
-}
-
-bool cpu_has_avx2() {
-#ifdef BMF_BIT_KERNELS_AVX2
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported;
-#else
-  return false;
-#endif
-}
-
 // Index of the first word w in [0, words) with (a[w] & b[w]) != 0, or -1.
-// Every words_scanned figure both dispatch paths report derives from this
-// index the same way (hit at w => w + 1, miss => words), so the accounting
-// is bit-exact between scalar and AVX2 by construction.
-std::int64_t first_and_word_scalar(const std::uint64_t* a,
-                                   const std::uint64_t* b,
-                                   std::int64_t words) {
+// Every words_scanned figure derives from this index the same way: a hit at
+// w charges w + 1 words, a miss charges the whole row.
+std::int64_t first_and_word(const std::uint64_t* a, const std::uint64_t* b,
+                            std::int64_t words) {
   for (std::int64_t w = 0; w < words; ++w)
     if ((a[w] & b[w]) != 0) return w;
   return -1;
 }
 
-std::int64_t and_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::int64_t words) {
+std::int64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
+                          std::int64_t words) {
   std::int64_t total = 0;
   for (std::int64_t w = 0; w < words; ++w) total += std::popcount(a[w] & b[w]);
   return total;
 }
 
-#ifdef BMF_BIT_KERNELS_AVX2
-
-__attribute__((target("avx2"))) std::int64_t first_and_word_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::int64_t words) {
-  std::int64_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i x = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
-    if (!_mm256_testz_si256(x, x)) {
-      // A hit somewhere in this 4-word block: resolve the exact word
-      // scalar-side so the reported index (and thus words_scanned) matches
-      // the scalar path bit for bit.
-      for (std::int64_t k = w; k < w + 4; ++k)
-        if ((a[k] & b[k]) != 0) return k;
-    }
-  }
-  for (; w < words; ++w)
-    if ((a[w] & b[w]) != 0) return w;
-  return -1;
-}
-
-// Nibble-LUT popcount (Mula): per-byte counts via pshufb, folded into four
-// 64-bit lanes with sad_epu8.
-__attribute__((target("avx2"))) std::int64_t and_popcount_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::int64_t words) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1,
-                       2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i x = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
-    const __m256i lo = _mm256_and_si256(x, low_mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(x, 4), low_mask);
-    const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                           _mm256_shuffle_epi8(lut, hi));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(counts, _mm256_setzero_si256()));
-  }
-  std::int64_t total = _mm256_extract_epi64(acc, 0) +
-                       _mm256_extract_epi64(acc, 1) +
-                       _mm256_extract_epi64(acc, 2) +
-                       _mm256_extract_epi64(acc, 3);
-  for (; w < words; ++w) total += std::popcount(a[w] & b[w]);
-  return total;
-}
-
-#endif  // BMF_BIT_KERNELS_AVX2
-
-bool use_avx2() { return cpu_has_avx2() && !force_scalar_flag().load(); }
-
-std::int64_t first_and_word(const std::uint64_t* a, const std::uint64_t* b,
-                            std::int64_t words) {
-#ifdef BMF_BIT_KERNELS_AVX2
-  if (use_avx2()) return first_and_word_avx2(a, b, words);
-#endif
-  return first_and_word_scalar(a, b, words);
-}
-
-std::int64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                          std::int64_t words) {
-#ifdef BMF_BIT_KERNELS_AVX2
-  if (use_avx2()) return and_popcount_avx2(a, b, words);
-#endif
-  return and_popcount_scalar(a, b, words);
-}
-
 }  // namespace
-
-BitKernel active_bit_kernel() {
-  return use_avx2() ? BitKernel::kAvx2 : BitKernel::kScalar;
-}
-
-const char* bit_kernel_name(BitKernel kernel) {
-  return kernel == BitKernel::kAvx2 ? "avx2" : "scalar";
-}
-
-void force_scalar_bit_kernels(bool force) { force_scalar_flag().store(force); }
-
-bool scalar_bit_kernels_forced() { return force_scalar_flag().load(); }
 
 BitVec::BitVec(std::int64_t n)
     : n_(n), words_(static_cast<std::size_t>((n + 63) / 64), 0) {
@@ -219,21 +96,15 @@ bool BitMatrix::get(std::int64_t r, std::int64_t c) const {
 }
 
 void BitMatrix::multiply(const BitVec& v, BitVec& out,
-                         std::int64_t* words_scanned, int threads) const {
+                         std::int64_t* words_scanned) const {
   BMF_REQUIRE(v.size() == cols_, "BitMatrix::multiply: vector size mismatch");
   BMF_REQUIRE(out.size() == rows_, "BitMatrix::multiply: output size mismatch");
   BMF_ASSERT(v.tail_clear());
-  // Each iteration of the block loop owns one full 64-bit word of `out`
-  // (rows [64b, 64b+64)) and one slot of the scan-count reduction, so the
-  // loop fans out through the shared pool without write conflicts; the slots
-  // are summed in index order, so the total is thread-count-invariant.
+  // Each 64-row block fills one full word of `out` (rows [64b, 64b+64)).
   const std::int64_t out_words = (rows_ + 63) / 64;
-  std::vector<std::int64_t> scanned_per_block(
-      static_cast<std::size_t>(out_words), 0);
-  const int pool_threads = gated_threads(out_words, 8, threads);
-  parallel_for_threads(pool_threads, out_words, [&](std::int64_t b) {
+  std::int64_t scanned = 0;
+  for (std::int64_t b = 0; b < out_words; ++b) {
     std::uint64_t word = 0;
-    std::int64_t scanned = 0;
     const std::int64_t row_end = std::min<std::int64_t>(rows_, (b + 1) * 64);
     for (std::int64_t r = b * 64; r < row_end; ++r) {
       const std::int64_t hit =
@@ -242,13 +113,8 @@ void BitMatrix::multiply(const BitVec& v, BitVec& out,
       if (hit >= 0) word |= 1ULL << (r & 63);
     }
     out.set_word(b, word);
-    scanned_per_block[static_cast<std::size_t>(b)] = scanned;
-  });
-  if (words_scanned != nullptr) {
-    std::int64_t total = 0;
-    for (const std::int64_t s : scanned_per_block) total += s;
-    *words_scanned = total;
   }
+  if (words_scanned != nullptr) *words_scanned = scanned;
 }
 
 std::int64_t BitMatrix::first_common_in_row(std::int64_t r, const BitVec& mask,

@@ -9,18 +9,8 @@
 /// Tail-word invariant: bits >= n_ (BitVec) / >= cols_ (BitMatrix rows) in the
 /// last word of a row are always zero. Every mutation site enforces it —
 /// `set` cannot address them and `set_word` masks them — so the word-level
-/// scan kernels (popcount, first_set, first_common, and the SIMD probes
-/// below) may consume whole words without per-bit range checks.
-///
-/// The word-scanning kernels (`first_common_in_row`, `multiply`,
-/// `row_intersect_count`) dispatch to an AVX2 path when the build targets
-/// x86-64 and the CPU reports support, with a scalar fallback otherwise. The
-/// two paths return identical results *and* identical `words_scanned`
-/// accounting (both derive it from the index of the first non-zero AND word),
-/// so the dispatch choice is invisible to the bit-identity contract. CI pins
-/// both paths: `force_scalar_bit_kernels(true)` or the environment variable
-/// `BMF_FORCE_SCALAR` (non-empty, not "0") selects the scalar path at
-/// runtime.
+/// scan kernels (popcount, first_set, first_common, and the row probes below)
+/// may consume whole words without per-bit range checks.
 
 #include <cstdint>
 #include <vector>
@@ -28,25 +18,6 @@
 #include "graph/graph.hpp"
 
 namespace bmf {
-
-/// Which implementation the word-scanning kernels currently dispatch to.
-enum class BitKernel { kScalar, kAvx2 };
-
-/// The kernel the next probe will use (CPU detection + the scalar override).
-[[nodiscard]] BitKernel active_bit_kernel();
-
-[[nodiscard]] const char* bit_kernel_name(BitKernel kernel);
-
-/// Runtime override for tests and benches: `true` pins the scalar path
-/// regardless of CPU support, `false` restores detection. The environment
-/// variable `BMF_FORCE_SCALAR` (non-empty, not "0") sets the initial state so
-/// CI jobs can pin a whole run without code changes.
-void force_scalar_bit_kernels(bool force);
-
-/// Current state of the scalar override (env seed included) — scoped pinning
-/// saves this and restores it, rather than blindly clearing the flag, so a
-/// whole-run `BMF_FORCE_SCALAR=1` pin survives guarded sections.
-[[nodiscard]] bool scalar_bit_kernels_forced();
 
 class BitVec {
  public:
@@ -79,7 +50,7 @@ class BitVec {
     words_[static_cast<std::size_t>(w)] = bits & word_mask(w);
   }
 
-  /// Contiguous word storage (for the SIMD kernels).
+  /// Contiguous word storage (for the word-scanning kernels).
   [[nodiscard]] const std::uint64_t* data() const { return words_.data(); }
 
   /// Tail-word invariant check (debug assertions and tests): no bit >= n_
@@ -116,12 +87,9 @@ class BitMatrix {
   /// each row stops at its first set AND-word; when `words_scanned` is
   /// non-null it receives the number of 64-bit words actually read (the
   /// honest cost for words-touched accounting — callers must not charge the
-  /// full rows * words_per_row()).  Each 64-row block owns one word of `out`
-  /// and one slot of the scan-count reduction, so the block loop fans out
-  /// through the shared pool when `threads > 1` (size-gated; bit-identical
-  /// at any thread count).
+  /// full rows * words_per_row()).
   void multiply(const BitVec& v, BitVec& out,
-                std::int64_t* words_scanned = nullptr, int threads = 1) const;
+                std::int64_t* words_scanned = nullptr) const;
 
   /// First column c in row r with M[r][c] AND mask[c], or -1. The scan
   /// early-exits at the first set word; when `words_scanned` is non-null it

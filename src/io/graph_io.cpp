@@ -1,5 +1,7 @@
 #include "io/graph_io.hpp"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -47,8 +49,14 @@ ParsedEdges parse_lines(std::istream& in, bool weighted) {
     double w = 1.0;
     BMF_REQUIRE(static_cast<bool>(ls >> u >> v),
                 "edge list: malformed line " + std::to_string(line_no));
-    if (weighted) {
-      if (!(ls >> w)) w = 1.0;
+    std::string weight;
+    if (weighted && ls >> weight) {
+      // The whole token must be a finite number: strtod stops at "2.5x" and
+      // returns 0 for "abc"; nan, inf and overflow parse but are not weights.
+      char* end = nullptr;
+      w = std::strtod(weight.c_str(), &end);
+      BMF_REQUIRE(*end == '\0' && std::isfinite(w),
+                  "edge list: malformed weight at line " + std::to_string(line_no));
       BMF_REQUIRE(w > 0, "edge list: non-positive weight at line " +
                              std::to_string(line_no));
     }
@@ -123,6 +131,8 @@ Graph read_dimacs(std::istream& in) {
     char kind = 0;
     ls >> kind;
     if (kind == 'p') {
+      BMF_REQUIRE(n < 0, "dimacs: repeated problem line at line " +
+                             std::to_string(line_no));
       std::string fmt;
       long long nn = -1, mm = -1;
       BMF_REQUIRE(static_cast<bool>(ls >> fmt >> nn >> mm) && nn >= 0 && mm >= 0,

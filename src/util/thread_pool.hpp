@@ -1,8 +1,7 @@
 #pragma once
 
-/// A small work-stealing thread pool shared by the round-based simulators
-/// (mpc::Cluster, congest::Network) and the embarrassingly-parallel loops of
-/// the boosting framework.
+/// A small work-stealing thread pool shared by the MPC simulator's supersteps
+/// (mpc::Cluster), best-of-k oracle sampling and the boosting ensemble.
 ///
 /// Tasks are distributed round-robin across per-worker deques; an idle worker
 /// first drains its own deque from the front, then steals from the back of a

@@ -1,14 +1,7 @@
-// Scalar-vs-SIMD differential suite for the BitMatrix word-scanning kernels,
-// plus the tail-word hygiene and BMF_REQUIRE regressions.
-//
-// The dispatch contract (src/graph/bit_matrix.hpp): the AVX2 and scalar paths
-// return identical values AND identical words_scanned on every input — both
-// derive the count from the index of the first non-zero AND word. The
-// differential tests therefore run every probe twice, scalar path pinned vs
-// whatever active_bit_kernel() selects, at widths crossing the 64-bit word
-// and 256-bit vector-block boundaries, and additionally check both against a
-// naive bit-by-bit reference so the suite still proves correctness on
-// machines where detection picks scalar for both runs.
+// Reference suite for the BitMatrix word-scanning kernels (scalar loops over
+// 64-bit words): every probe, and its words_scanned charge, against a naive
+// bit-by-bit reference at widths crossing the word boundary; plus the
+// tail-word hygiene and BMF_REQUIRE regressions.
 
 #include <gtest/gtest.h>
 
@@ -22,23 +15,7 @@
 namespace bmf {
 namespace {
 
-// Pins the scalar path for a scope; restores the prior override state on
-// exit (NOT a blind clear: under a whole-run BMF_FORCE_SCALAR=1 pin the flag
-// must stay set for the tests that follow).
-struct ForceScalarGuard {
-  ForceScalarGuard() : was_forced_(scalar_bit_kernels_forced()) {
-    force_scalar_bit_kernels(true);
-  }
-  ~ForceScalarGuard() { force_scalar_bit_kernels(was_forced_); }
-  ForceScalarGuard(const ForceScalarGuard&) = delete;
-  ForceScalarGuard& operator=(const ForceScalarGuard&) = delete;
-
- private:
-  bool was_forced_;
-};
-
-// Widths straddling the 64-bit word boundary and the AVX2 4-word block
-// boundary (256 bits), plus the block-tail remainders 1..3.
+// Widths straddling the 64-bit word boundary at several row lengths.
 const std::vector<std::int64_t> kWidths = {1,   5,   63,  64,  65,  127, 128,
                                            129, 191, 192, 193, 255, 256, 257,
                                            300, 447, 448, 449, 511, 512, 700};
@@ -66,27 +43,20 @@ std::int64_t naive_first_common(const BitMatrix& m, std::int64_t r,
   return -1;
 }
 
+// The documented accounting: a hit at word w charges w + 1 words, a miss
+// charges the whole row.
+std::int64_t naive_words_scanned(const BitMatrix& m, std::int64_t r,
+                                 const BitVec& mask) {
+  const std::int64_t hit = naive_first_common(m, r, mask);
+  return hit >= 0 ? hit / 64 + 1 : m.words_per_row();
+}
+
 std::int64_t naive_intersect_count(const BitMatrix& m, std::int64_t r,
                                    const BitVec& mask) {
   std::int64_t total = 0;
   for (std::int64_t c = 0; c < m.cols(); ++c)
     if (m.get(r, c) && mask.get(c)) ++total;
   return total;
-}
-
-TEST(BitKernelDispatch, ForcingScalarIsVisibleAndReversible) {
-  const bool was_forced = scalar_bit_kernels_forced();
-  const BitKernel initial = active_bit_kernel();
-  {
-    const ForceScalarGuard guard;
-    EXPECT_EQ(active_bit_kernel(), BitKernel::kScalar);
-    EXPECT_STREQ(bit_kernel_name(active_bit_kernel()), "scalar");
-    EXPECT_TRUE(scalar_bit_kernels_forced());
-  }
-  // The guard restores the prior override state — including an env-set pin.
-  EXPECT_EQ(scalar_bit_kernels_forced(), was_forced);
-  EXPECT_EQ(active_bit_kernel(), initial);
-  if (was_forced) EXPECT_EQ(initial, BitKernel::kScalar);
 }
 
 TEST(BitKernelDifferential, FirstCommonInRowMatchesScalarAndReference) {
@@ -99,24 +69,11 @@ TEST(BitKernelDifferential, FirstCommonInRowMatchesScalarAndReference) {
     for (const double density : {0.0, 0.02, 0.5, 1.0}) {
       const BitVec mask = random_vec(n, density, rng);
       for (std::int64_t r = 0; r < m.rows(); ++r) {
-        std::int64_t scalar_words = -1;
-        std::int64_t active_words = -1;
-        std::int64_t scalar_hit = 0;
-        {
-          const ForceScalarGuard guard;
-          scalar_hit = m.first_common_in_row(r, mask, &scalar_words);
-        }
-        const std::int64_t active_hit =
-            m.first_common_in_row(r, mask, &active_words);
-        EXPECT_EQ(active_hit, scalar_hit) << "n=" << n << " r=" << r;
-        EXPECT_EQ(active_words, scalar_words) << "n=" << n << " r=" << r;
-        EXPECT_EQ(scalar_hit, naive_first_common(m, r, mask))
+        std::int64_t words = -1;
+        const std::int64_t hit = m.first_common_in_row(r, mask, &words);
+        EXPECT_EQ(hit, naive_first_common(m, r, mask)) << "n=" << n << " r=" << r;
+        EXPECT_EQ(words, naive_words_scanned(m, r, mask))
             << "n=" << n << " r=" << r;
-        // The documented accounting: hit at word w => w + 1, miss => full row.
-        if (scalar_hit >= 0)
-          EXPECT_EQ(scalar_words, scalar_hit / 64 + 1);
-        else
-          EXPECT_EQ(scalar_words, m.words_per_row());
       }
     }
   }
@@ -128,40 +85,19 @@ TEST(BitKernelDifferential, MultiplyMatchesScalarAndReference) {
     const BitMatrix m = random_matrix(n, n, /*density=*/0.02, rng);
     for (const double density : {0.0, 0.05, 0.6}) {
       const BitVec v = random_vec(n, density, rng);
-      BitVec out_scalar(n);
-      BitVec out_active(n);
-      std::int64_t words_scalar = -1;
-      std::int64_t words_active = -1;
-      {
-        const ForceScalarGuard guard;
-        m.multiply(v, out_scalar, &words_scalar);
-      }
-      m.multiply(v, out_active, &words_active);
-      EXPECT_EQ(words_active, words_scalar) << "n=" << n;
+      BitVec out(n);
+      std::int64_t words = -1;
+      m.multiply(v, out, &words);
+      std::int64_t naive_words = 0;
       for (std::int64_t r = 0; r < n; ++r) {
-        EXPECT_EQ(out_active.get(r), out_scalar.get(r)) << "n=" << n << " r=" << r;
-        EXPECT_EQ(out_scalar.get(r), naive_first_common(m, r, v) >= 0)
+        EXPECT_EQ(out.get(r), naive_first_common(m, r, v) >= 0)
             << "n=" << n << " r=" << r;
+        naive_words += naive_words_scanned(m, r, v);
       }
-      EXPECT_TRUE(out_active.tail_clear());
+      EXPECT_EQ(words, naive_words) << "n=" << n;
+      EXPECT_TRUE(out.tail_clear());
     }
   }
-}
-
-TEST(BitKernelDifferential, MultiplyThreadedMatchesSerial) {
-  Rng rng(4242);
-  const std::int64_t n = 700;  // > 8 out-words so the gate opens
-  const BitMatrix m = random_matrix(n, n, 0.02, rng);
-  const BitVec v = random_vec(n, 0.05, rng);
-  BitVec out_serial(n);
-  BitVec out_pool(n);
-  std::int64_t words_serial = -1;
-  std::int64_t words_pool = -1;
-  m.multiply(v, out_serial, &words_serial, /*threads=*/1);
-  m.multiply(v, out_pool, &words_pool, /*threads=*/8);
-  EXPECT_EQ(words_pool, words_serial);
-  for (std::int64_t r = 0; r < n; ++r)
-    EXPECT_EQ(out_pool.get(r), out_serial.get(r)) << "r=" << r;
 }
 
 TEST(BitKernelDifferential, RowIntersectCountMatchesScalarAndReference) {
@@ -171,17 +107,10 @@ TEST(BitKernelDifferential, RowIntersectCountMatchesScalarAndReference) {
                                       /*density=*/0.2, rng);
     for (const double density : {0.0, 0.3, 1.0}) {
       const BitVec mask = random_vec(n, density, rng);
-      for (std::int64_t r = 0; r < m.rows(); ++r) {
-        std::int64_t scalar_count = -1;
-        {
-          const ForceScalarGuard guard;
-          scalar_count = m.row_intersect_count(r, mask);
-        }
-        EXPECT_EQ(m.row_intersect_count(r, mask), scalar_count)
+      for (std::int64_t r = 0; r < m.rows(); ++r)
+        EXPECT_EQ(m.row_intersect_count(r, mask),
+                  naive_intersect_count(m, r, mask))
             << "n=" << n << " r=" << r;
-        EXPECT_EQ(scalar_count, naive_intersect_count(m, r, mask))
-            << "n=" << n << " r=" << r;
-      }
     }
   }
 }

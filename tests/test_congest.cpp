@@ -61,6 +61,45 @@ TEST(Network, ComponentAggregateMinRoundsScaleWithSize) {
   EXPECT_EQ(net.rounds(), 2 * 4 + 2);
 }
 
+std::uint64_t pair_digest(std::uint64_t digest, Vertex u, Vertex v) {
+  const std::uint64_t key =
+      static_cast<std::uint64_t>(u) << 32 | static_cast<std::uint32_t>(v);
+  return (digest ^ key) * 1099511628211ULL;  // FNV-1a step over the pair
+}
+
+// Exact outputs on fixed seeds: a change to the round's delivery order, its
+// message accounting or the handshake's draw order moves them.
+TEST(Network, SerialRoundsReproducePinnedOutputs) {
+  Rng grng(23);
+  const Graph g = gen_random_graph(400, 1600, grng);
+  Network net(g);
+  Rng rng(99);
+  const CongestMatchingResult r = congest_maximal_matching(net, rng);
+  std::uint64_t digest = 1469598103934665603ULL;
+  for (const auto& [u, v] : r.matching) digest = pair_digest(digest, u, v);
+  EXPECT_EQ(r.matching.size(), 176u);
+  EXPECT_EQ(digest, 0xfaee4b82a229bd35ULL);
+  EXPECT_EQ(r.rounds, 9);
+  EXPECT_EQ(r.iterations, 3);
+  EXPECT_EQ(net.messages(), 1463);
+  EXPECT_EQ(net.violations(), 0);
+
+  Rng brng(31);
+  const Graph h = gen_planted_matching(120, 260, brng);
+  CoreConfig cfg;
+  cfg.eps = 0.25;
+  cfg.seed = 5;
+  const CongestBoostResult b = congest_boost_matching(h, cfg);
+  std::uint64_t boost_digest = 1469598103934665603ULL;
+  for (const Edge& e : b.boost.matching.edge_list())
+    boost_digest = pair_digest(boost_digest, e.u, e.v);
+  EXPECT_EQ(b.boost.matching.size(), 60);
+  EXPECT_EQ(boost_digest, 0xd7997655c6365757ULL);
+  EXPECT_EQ(b.boost.total_oracle_calls, 17);
+  EXPECT_EQ(b.oracle_rounds, 54);
+  EXPECT_EQ(b.process_rounds, 184);
+}
+
 class CongestMatchingTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CongestMatchingTest, HandshakesReachMaximality) {

@@ -21,6 +21,19 @@ namespace {
 // IO
 // ---------------------------------------------------------------------------
 
+// `read` must reject `text` with a std::invalid_argument that names a line.
+template <typename Read>
+void expect_rejected(Read read, const char* text) {
+  std::stringstream in(text);
+  try {
+    (void)read(in);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
+        << "message names no line: " << e.what();
+  }
+}
+
 TEST(GraphIo, EdgeListRoundtrip) {
   Rng rng(3);
   const Graph g = gen_random_graph(30, 80, rng);
@@ -44,6 +57,14 @@ TEST(GraphIo, EdgeListMalformedRejected) {
   EXPECT_THROW((void)read_edge_list(bad1), std::invalid_argument);
   std::stringstream bad2("0 -2\n");
   EXPECT_THROW((void)read_edge_list(bad2), std::invalid_argument);
+  // A weight token must parse completely as a finite positive number; the
+  // first four used to load as weight 1.0 and "2.5x" as 2.5.
+  const auto weighted = [](std::istream& in) {
+    return read_weighted_edge_list(in);
+  };
+  for (const char* text :
+       {"0 1 abc\n", "0 1 nan\n", "0 1 inf\n", "0 1 1e400\n", "0 1 2.5x\n"})
+    expect_rejected(weighted, text);
 }
 
 TEST(GraphIo, WeightedEdgeList) {
@@ -72,6 +93,11 @@ TEST(GraphIo, DimacsValidation) {
   EXPECT_THROW((void)read_dimacs(out_of_range), std::invalid_argument);
   std::stringstream count_mismatch("p edge 3 2\ne 1 2\n");
   EXPECT_THROW((void)read_dimacs(count_mismatch), std::invalid_argument);
+  // A second problem line used to redefine n: a growing one silently, a
+  // shrinking one only inside GraphBuilder, with a message naming no line.
+  const auto dimacs = [](std::istream& in) { return read_dimacs(in); };
+  expect_rejected(dimacs, "p edge 2 1\ne 1 2\np edge 9 1\n");
+  expect_rejected(dimacs, "p edge 9 1\ne 1 9\np edge 2 1\n");
 }
 
 TEST(GraphIo, SelfLoopsRejectedByAllReaders) {
@@ -118,16 +144,6 @@ TEST(GraphIo, UndersizedDeclaredHeaderRejected) {
 TEST(GraphIo, VertexIdsAndCountsPastInt32Rejected) {
   // Ids and counts are range-checked before the cast to Vertex; each of
   // these used to be read silently as a different graph or to overflow.
-  const auto expect_rejected = [](auto read, const char* text) {
-    std::stringstream in(text);
-    try {
-      (void)read(in);
-      ADD_FAILURE() << "accepted: " << text;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
-          << "message names no line: " << e.what();
-    }
-  };
   const auto plain = [](std::istream& in) { return read_edge_list(in); };
   const auto weighted = [](std::istream& in) {
     return read_weighted_edge_list(in);

@@ -1,9 +1,9 @@
-/// Determinism of the parallel execution engine: for a fixed seed, every
-/// simulator and framework entry point must produce bit-identical results at
-/// 1, 2, and 8 threads. This is the contract documented in
-/// util/thread_pool.hpp (private outboxes + merge in id order after the
-/// barrier), and it is what makes the parallel engine a faithful drop-in for
-/// the serial round-by-round semantics.
+/// Determinism of the pool's three users — MPC supersteps, best-of-k oracle
+/// sampling and the boosting ensemble: for a fixed seed each must produce
+/// bit-identical results at 1, 2, and 8 threads. This is the contract
+/// documented in util/thread_pool.hpp (per-index slots merged in index order
+/// after the loop), and it is what makes each fan-out a faithful drop-in for
+/// its serial loop.
 
 #include <gtest/gtest.h>
 
@@ -11,14 +11,12 @@
 #include <memory>
 #include <vector>
 
-#include "congest/congest_boost.hpp"
-#include "congest/congest_matching.hpp"
-#include "congest/network.hpp"
 #include "core/framework.hpp"
 #include "core/oracle.hpp"
 #include "mpc/mpc_boost.hpp"
 #include "mpc/mpc_matching.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/gen.hpp"
 
 namespace bmf {
@@ -62,7 +60,6 @@ TEST(ParallelDeterminism, MpcBoostIdenticalAcrossThreadCounts) {
     CoreConfig cfg;
     cfg.eps = 0.25;
     cfg.seed = 3;
-    cfg.threads = threads;
     mpc::MpcConfig mpc_cfg;
     mpc_cfg.machines = 8;
     mpc_cfg.threads = threads;
@@ -78,51 +75,12 @@ TEST(ParallelDeterminism, MpcBoostIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminism, CongestMaximalMatchingIdenticalAcrossThreadCounts) {
-  Rng grng(23);
-  const Graph g = gen_random_graph(200, 700, grng);
-
-  std::vector<OracleMatching> results;
-  std::vector<std::int64_t> rounds;
-  for (int threads : kThreadCounts) {
-    congest::Network net(g, threads);
-    Rng rng(99);
-    const congest::CongestMatchingResult r =
-        congest::congest_maximal_matching(net, rng);
-    results.push_back(r.matching);
-    rounds.push_back(r.rounds);
-    EXPECT_EQ(net.violations(), 0) << "threads=" << threads;
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], results[0]) << "threads=" << kThreadCounts[i];
-    EXPECT_EQ(rounds[i], rounds[0]) << "threads=" << kThreadCounts[i];
-  }
-}
-
-TEST(ParallelDeterminism, CongestBoostIdenticalAcrossThreadCounts) {
-  Rng grng(31);
-  const Graph g = gen_planted_matching(120, 260, grng);
-
-  std::vector<std::vector<Edge>> matchings;
-  std::vector<std::int64_t> calls;
-  for (int threads : kThreadCounts) {
-    CoreConfig cfg;
-    cfg.eps = 0.25;
-    cfg.seed = 5;
-    cfg.threads = threads;
-    const congest::CongestBoostResult r = congest::congest_boost_matching(g, cfg);
-    matchings.push_back(r.boost.matching.edge_list());
-    calls.push_back(r.boost.total_oracle_calls);
-  }
-  for (std::size_t i = 1; i < matchings.size(); ++i) {
-    EXPECT_EQ(matchings[i], matchings[0]) << "threads=" << kThreadCounts[i];
-    EXPECT_EQ(calls[i], calls[0]) << "threads=" << kThreadCounts[i];
-  }
-}
-
 TEST(ParallelDeterminism, BoostMatchingWithSamplingOracleIdentical) {
   Rng grng(57);
   const Graph g = gen_augmenting_chains(24, 5);
+  // The derived graphs here stay below the sampler's size gate, so open it:
+  // otherwise the 2- and 8-thread runs would sample serially.
+  const ForceParallelSmallWork force;
 
   std::vector<std::vector<Edge>> matchings;
   std::vector<std::int64_t> stats;
@@ -130,7 +88,6 @@ TEST(ParallelDeterminism, BoostMatchingWithSamplingOracleIdentical) {
     CoreConfig cfg;
     cfg.eps = 0.25;
     cfg.seed = 17;
-    cfg.threads = threads;
     BestOfKRandomGreedyOracle oracle(cfg.seed, 8, threads);
     const BoostResult r = boost_matching(g, oracle, cfg);
     matchings.push_back(r.matching.edge_list());

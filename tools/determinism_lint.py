@@ -37,7 +37,7 @@ discipline machine-checkable:
                         is governed in one place. An OpenMP pragma is a second
                         scheduler with its own thread count, its own reduction
                         order, and no gate; route the loop through the pool
-                        instead (see BitMatrix::multiply).
+                        instead (see BestOfKRandomGreedyOracle's sampling).
   publication-order     In src/service: a file that release-stores
                         published_epoch_ must carry the documented
                         publication sequence, marked `publication-order[1]`
