@@ -17,7 +17,6 @@
 
 #include "bench_json.hpp"
 #include "dynamic/dynamic_matcher.hpp"
-#include "dynamic/weak_oracle.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -62,8 +61,7 @@ void run_comparison(benchjson::Writer& out, const char* workload,
   double seq_time = 0.0;
   RunState reference;
   {
-    MatrixWeakOracle oracle(n);
-    DynamicMatcher dm(n, oracle, cfg);
+    DynamicMatcher dm(n, cfg);
     Timer t;
     for (const EdgeUpdate& up : updates) dm.apply(up);
     seq_time = t.seconds();
@@ -75,8 +73,7 @@ void run_comparison(benchjson::Writer& out, const char* workload,
   t.add_row({"sequential", Table::num(seq_time, 4),
              Table::num(count / seq_time, 0), Table::num(1.0, 2),
              Table::integer(reference.rebuilds), "ref"});
-  MatrixWeakOracle oracle(n);
-  DynamicMatcher dm(n, oracle, cfg);
+  DynamicMatcher dm(n, cfg);
   Timer timer;
   for (const auto& batch : batches) dm.apply_batch(batch);
   const double s = timer.seconds();

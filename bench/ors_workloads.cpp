@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "dynamic/dynamic_matcher.hpp"
-#include "dynamic/weak_oracle.hpp"
 #include "ors/ors.hpp"
 #include "util/timer.hpp"
 #include "util/table.hpp"
@@ -43,10 +42,9 @@ int main() {
   const OrsGraph ors = ors_greedy_random(200, 10, 40, rng);
   const auto ors_updates = ors_update_sequence(ors);
   {
-    MatrixWeakOracle oracle(ors.n);
     DynamicMatcherConfig cfg;
     cfg.eps = 0.25;
-    DynamicMatcher dm(ors.n, oracle, cfg);
+    DynamicMatcher dm(ors.n, cfg);
     Timer timer;
     for (const EdgeUpdate& up : ors_updates) dm.apply(up);
     t.add_row({"ORS insert+delete", Table::integer(static_cast<std::int64_t>(
@@ -59,10 +57,9 @@ int main() {
     const auto rand_updates =
         dyn_random_updates(ors.n, static_cast<std::int64_t>(ors_updates.size()),
                            0.7, r2);
-    MatrixWeakOracle oracle(ors.n);
     DynamicMatcherConfig cfg;
     cfg.eps = 0.25;
-    DynamicMatcher dm(ors.n, oracle, cfg);
+    DynamicMatcher dm(ors.n, cfg);
     Timer timer;
     for (const EdgeUpdate& up : rand_updates) dm.apply(up);
     t.add_row({"random churn (same length)",

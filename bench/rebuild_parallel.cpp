@@ -23,7 +23,6 @@
 #include "core/framework.hpp"
 #include "core/oracle.hpp"
 #include "dynamic/dynamic_matcher.hpp"
-#include "dynamic/weak_oracle.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -92,8 +91,7 @@ void bench_dynamic(benchjson::Writer& out, const char* workload,
   double seq_time = 0.0;
   RunState reference;
   {
-    MatrixWeakOracle oracle(n);
-    DynamicMatcher dm(n, oracle, cfg);
+    DynamicMatcher dm(n, cfg);
     Timer timer;
     for (const EdgeUpdate& up : updates) dm.apply(up);
     seq_time = timer.seconds();
@@ -105,8 +103,7 @@ void bench_dynamic(benchjson::Writer& out, const char* workload,
   t.add_row({"sequential", Table::num(seq_time, 4),
              Table::num(count / seq_time, 0), Table::num(1.0, 2),
              Table::integer(reference.rebuilds), "ref"});
-  MatrixWeakOracle oracle(n);
-  DynamicMatcher dm(n, oracle, cfg);
+  DynamicMatcher dm(n, cfg);
   Timer timer;
   for (const auto& batch : slice_updates(updates, batch_size))
     dm.apply_batch(batch);

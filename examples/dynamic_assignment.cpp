@@ -3,13 +3,12 @@
 /// Drivers and riders appear and disappear; compatibility edges (driver can
 /// serve rider) are inserted and deleted online. The matcher maintains a
 /// (1+eps)-approximate maximum assignment after every update, with rebuilds
-/// powered only by weak induced-subgraph queries (Definition 6.1) against a
-/// maintained adjacency matrix.
+/// powered only by weak induced-subgraph queries (Definition 6.1), which the
+/// matcher answers from its own adjacency lists.
 
 #include <cstdio>
 
 #include "dynamic/dynamic_matcher.hpp"
-#include "dynamic/weak_oracle.hpp"
 #include "matching/blossom_exact.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -19,10 +18,9 @@ int main() {
   using namespace bmf;
 
   const Vertex n = 300;  // 150 drivers + 150 riders, ids interleaved
-  MatrixWeakOracle oracle(n);
   DynamicMatcherConfig cfg;
   cfg.eps = 0.25;
-  DynamicMatcher matcher(n, oracle, cfg);
+  DynamicMatcher matcher(n, cfg);
 
   Rng rng(42);
   const auto updates = dyn_sliding_window(n, /*window=*/700, /*count=*/1500, rng);
@@ -61,8 +59,7 @@ int main() {
   // Batch mode: the dispatcher accumulates updates (e.g. a tick's worth of
   // arrivals) and applies them in one apply_batch call per tick. The batch
   // determinism contract guarantees the exact same assignment history.
-  MatrixWeakOracle batch_oracle(n);
-  DynamicMatcher batch_matcher(n, batch_oracle, cfg);
+  DynamicMatcher batch_matcher(n, cfg);
   Timer bt;
   for (const auto& tick : slice_updates(updates, /*batch_size=*/200))
     batch_matcher.apply_batch(tick);

@@ -47,14 +47,14 @@ std::int64_t chunk_size_for(Vertex n, double alpha) {
 
 DynamicMatcher::DynamicMatcher(Vertex n, const DynamicMatcherConfig& cfg)
     : cfg_(validated(cfg)),
-      owned_oracle_(std::make_unique<MatrixWeakOracle>(n)),
-      oracle_(*owned_oracle_),
       g_(n),
+      owned_oracle_(std::make_unique<AdjacencyWeakOracle>(g_)),
+      oracle_(*owned_oracle_),
       m_(n) {}
 
 DynamicMatcher::DynamicMatcher(Vertex n, WeakOracle& oracle,
                                const DynamicMatcherConfig& cfg)
-    : cfg_(validated(cfg)), oracle_(oracle), g_(n), m_(n) {}
+    : cfg_(validated(cfg)), g_(n), oracle_(oracle), m_(n) {}
 
 void DynamicMatcher::apply(const EdgeUpdate& update) {
   require_valid(update);
@@ -186,6 +186,9 @@ void Problem1Instance::apply_chunk(std::span<const EdgeUpdate> chunk) {
 
 WeakQueryResult Problem1Instance::query(std::span<const Vertex> s) {
   BMF_REQUIRE(queries_left_ > 0, "Problem1Instance: query budget exhausted");
+  for (const Vertex v : s)
+    BMF_REQUIRE(v >= 0 && v < g_.num_vertices(),
+                "Problem1Instance: query vertex out of range");
   --queries_left_;
   return oracle_.query(s, delta_);
 }

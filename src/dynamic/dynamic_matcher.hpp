@@ -18,11 +18,13 @@
 ///
 /// DynamicMatcher is the library's one dynamic engine: a `DynGraph` plus a
 /// `WeakOracle`, behind the `ReplayEngine` surface (replay_engine.hpp) that
-/// the matching service drives. `apply_batch` validates the whole batch up
-/// front and then runs the sequential step once per update, so a batch is
-/// the `apply` loop by construction. `comm_stats()` prices the run for a
-/// vertex partition into `cfg.shards` owners (the partition cost model,
-/// docs/replay_core.md). The determinism contract is pinned by the
+/// the matching service drives. Unless a caller lends it an oracle, it owns
+/// an `AdjacencyWeakOracle` that answers A_weak from the graph's own sorted
+/// rows, so the engine holds O(n + m) memory. `apply_batch` validates the
+/// whole batch up front and then runs the sequential step once per update,
+/// so a batch is the `apply` loop by construction. `comm_stats()` prices the
+/// run for a vertex partition into `cfg.shards` owners (the partition cost
+/// model, docs/replay_core.md). The determinism contract is pinned by the
 /// differential harness (tests/differential_util.hpp) and the golden traces.
 ///
 /// Problem1Instance exposes the chunk/query interface verbatim for tests and
@@ -47,11 +49,15 @@ namespace bmf {
 
 class DynamicMatcher final : public ReplayEngine {
  public:
-  /// Owns a `MatrixWeakOracle` over n vertices.
+  /// Owns an `AdjacencyWeakOracle` over the engine's own graph.
   DynamicMatcher(Vertex n, const DynamicMatcherConfig& cfg);
   /// Borrows `oracle`, which must be empty-initialized for n vertices; the
   /// matcher feeds it every update (Problem 1: the graph starts empty).
   DynamicMatcher(Vertex n, WeakOracle& oracle, const DynamicMatcherConfig& cfg);
+  /// Neither copyable nor movable: the owned oracle reads `g_` in place, so
+  /// a moved engine would leave it reading the moved-from graph.
+  DynamicMatcher(const DynamicMatcher&) = delete;
+  DynamicMatcher& operator=(const DynamicMatcher&) = delete;
 
   void apply(const EdgeUpdate& update) override;
   void apply_batch(std::span<const EdgeUpdate> batch) override;
@@ -92,9 +98,9 @@ class DynamicMatcher final : public ReplayEngine {
   void rebuild();
 
   DynamicMatcherConfig cfg_;  ///< validated and resolved
+  DynGraph g_;                ///< declared before the oracle that may read it
   std::unique_ptr<WeakOracle> owned_oracle_;
   WeakOracle& oracle_;
-  DynGraph g_;
   Matching m_;
   std::int64_t updates_ = 0;
   std::int64_t since_rebuild_ = 0;
@@ -122,7 +128,9 @@ class Problem1Instance {
   /// invalid chunk throws std::invalid_argument and changes nothing.
   void apply_chunk(std::span<const EdgeUpdate> chunk);
 
-  /// One adaptive query; throws if the per-chunk budget q is exhausted.
+  /// One adaptive query. Throws std::invalid_argument, and spends nothing,
+  /// if the per-chunk budget q is exhausted or a vertex of s lies outside
+  /// [0, n).
   [[nodiscard]] WeakQueryResult query(std::span<const Vertex> s);
 
   [[nodiscard]] std::int64_t chunk_size() const { return chunk_size_; }

@@ -6,6 +6,24 @@
 
 namespace bmf {
 
+namespace {
+
+/// Definition 6.1's answer for a greedy matching of `size` edges over n
+/// vertices: bottom iff it falls below lambda * delta * n.
+bool below_threshold(std::size_t size, double lambda, double delta, Vertex n) {
+  return static_cast<double>(size) < lambda * delta * static_cast<double>(n);
+}
+
+/// u's first neighbor in ascending order that `avail` marks, or kNoVertex:
+/// the adjacency form of `BitMatrix::first_common_in_row`.
+Vertex first_marked_neighbor(const DynGraph& g, Vertex u, const BitVec& avail) {
+  for (const Vertex v : g.neighbors(u))
+    if (avail.get(v)) return v;
+  return kNoVertex;
+}
+
+}  // namespace
+
 void WeakOracle::on_batch(std::span<const EdgeUpdate> updates,
                           std::span<const std::uint8_t> structural,
                           int /*threads*/) {
@@ -49,8 +67,7 @@ WeakQueryResult MatrixWeakOracle::query_impl(std::span<const Vertex> s,
       avail.set(v, false);
     }
   }
-  const double threshold = lambda() * delta * static_cast<double>(n_);
-  out.bottom = static_cast<double>(out.matching.size()) < threshold;
+  out.bottom = below_threshold(out.matching.size(), lambda(), delta, n_);
   return out;
 }
 
@@ -73,8 +90,48 @@ WeakQueryResult MatrixWeakOracle::query_cover_impl(
       avail.set(v, false);
     }
   }
-  const double threshold = lambda() * delta * static_cast<double>(n_);
-  out.bottom = static_cast<double>(out.matching.size()) < threshold;
+  out.bottom = below_threshold(out.matching.size(), lambda(), delta, n_);
+  return out;
+}
+
+// ------------------------------------------------------- AdjacencyWeakOracle
+
+WeakQueryResult AdjacencyWeakOracle::query_impl(std::span<const Vertex> s,
+                                                double delta) {
+  BitVec avail(g_.num_vertices());
+  for (Vertex v : s) avail.set(v);
+  WeakQueryResult out;
+  for (Vertex u : s) {
+    if (!avail.get(u)) continue;
+    // DynGraph has no self-loops, so the walk cannot return u.
+    const Vertex v = first_marked_neighbor(g_, u, avail);
+    if (v != kNoVertex) {
+      out.matching.push_back({u, v});
+      avail.set(u, false);
+      avail.set(v, false);
+    }
+  }
+  out.bottom =
+      below_threshold(out.matching.size(), lambda(), delta, g_.num_vertices());
+  return out;
+}
+
+WeakQueryResult AdjacencyWeakOracle::query_cover_impl(
+    std::span<const Vertex> s_plus, std::span<const Vertex> s_minus,
+    double delta) {
+  BitVec avail(g_.num_vertices());
+  for (Vertex v : s_minus) avail.set(v);
+  WeakQueryResult out;
+  for (Vertex u : s_plus) {
+    // u+ and u- are distinct copies, so only v- leaves the mask.
+    const Vertex v = first_marked_neighbor(g_, u, avail);
+    if (v != kNoVertex) {
+      out.matching.push_back({u, v});
+      avail.set(v, false);
+    }
+  }
+  out.bottom =
+      below_threshold(out.matching.size(), lambda(), delta, g_.num_vertices());
   return out;
 }
 

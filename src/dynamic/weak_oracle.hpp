@@ -118,4 +118,30 @@ class MatrixWeakOracle final : public WeakOracle {
   std::int64_t words_touched_ = 0;
 };
 
+/// A_weak over a `DynGraph`'s sorted rows, in O(n + m) memory: the
+/// `MatrixWeakOracle` greedy with each masked row probe replaced by an
+/// ascending walk of u's neighbors. The first marked neighbor is the lowest
+/// column the probe would return, so both oracles give the same matchings,
+/// bottom flags, `calls()` and `rows_queried()` on the same edge set;
+/// lambda = 1/2. It keeps no copy of the graph and reads `g` at query time:
+/// `g` must outlive the oracle and be the graph the caller keeps updated,
+/// which is why the maintenance hooks do nothing.
+class AdjacencyWeakOracle final : public WeakOracle {
+ public:
+  explicit AdjacencyWeakOracle(const DynGraph& g) : g_(g) {}
+
+  [[nodiscard]] double lambda() const override { return 0.5; }
+  void on_insert(Vertex /*u*/, Vertex /*v*/) override {}
+  void on_erase(Vertex /*u*/, Vertex /*v*/) override {}
+
+ protected:
+  WeakQueryResult query_impl(std::span<const Vertex> s, double delta) override;
+  WeakQueryResult query_cover_impl(std::span<const Vertex> s_plus,
+                                   std::span<const Vertex> s_minus,
+                                   double delta) override;
+
+ private:
+  const DynGraph& g_;
+};
+
 }  // namespace bmf

@@ -166,8 +166,10 @@ class SnapshotReader final : public MatchingView {
 class MatchingService {
  public:
   /// Owns a `DynamicMatcher(n, cfg)` (eps, rebuild cadence, seed, shards,
-  /// ... all apply). The epoch-0 snapshot (empty matching) publishes
-  /// immediately; the writer thread starts accepting submissions.
+  /// ... all apply), whose `AdjacencyWeakOracle` answers A_weak from the
+  /// engine's own graph, so the service holds O(n + m) memory. The epoch-0
+  /// snapshot (empty matching) publishes immediately; the writer thread
+  /// starts accepting submissions.
   MatchingService(Vertex n, const ServiceConfig& cfg);
   /// Serves a caller-owned engine (any `ReplayEngine`; its own config was
   /// validated at engine construction — `cfg`'s inherited core knobs are

@@ -1,15 +1,17 @@
 #pragma once
 
 /// Shared differential checker for the dynamic engine: the sequential
-/// `apply` loop against `apply_batch` at each batch size.
+/// `apply` loop against `apply_batch` at each batch size, and the engine that
+/// owns its oracle against one that borrows a `MatrixWeakOracle`.
 ///
 /// `DynamicMatcher` promises bit-identical matchings (mate by mate), graph,
 /// rebuild counts *and positions*, `RebuildStats` and A_weak call counts
-/// whatever batch sizes the stream is sliced into. This header is the one
-/// checker behind tests/test_replay_core.cpp, tests/test_dynamic_batch.cpp
-/// and tests/test_rebuild_parallel.cpp, so no suite carries its own copy of
-/// the loop. `words_touched` (the oracle cost proxy) is exact, so it must
-/// agree too.
+/// whatever batch sizes the stream is sliced into and whichever of the two
+/// oracles answers A_weak. This header is the one checker behind
+/// tests/test_replay_core.cpp, tests/test_dynamic_batch.cpp and
+/// tests/test_rebuild_parallel.cpp, so no suite carries its own copy of the
+/// loop. `words_touched` (the matrix oracle's cost proxy) is exact, so it
+/// must agree across the matrix legs too.
 
 #include <gtest/gtest.h>
 
@@ -78,6 +80,15 @@ inline RunResult run_sequential(Vertex n, std::span<const EdgeUpdate> ups,
   return collect(dm);
 }
 
+/// The sequential loop on `DynamicMatcher(n, cfg)`, the engine that owns an
+/// `AdjacencyWeakOracle` over its own graph (what the service runs).
+inline RunResult run_owning(Vertex n, std::span<const EdgeUpdate> ups,
+                            const DynamicMatcherConfig& cfg) {
+  DynamicMatcher dm(n, cfg);
+  for (const EdgeUpdate& up : ups) dm.apply(up);
+  return collect(dm);
+}
+
 /// `apply_batch` over consecutive slices of `batch_size`. Audits
 /// words_touched monotonicity batch over batch and reports the final count.
 inline RunResult run_batched(Vertex n, std::span<const EdgeUpdate> ups,
@@ -96,15 +107,17 @@ inline RunResult run_batched(Vertex n, std::span<const EdgeUpdate> ups,
   return collect(dm);
 }
 
-/// The single loop: the sequential reference, then `apply_batch` at every
-/// batch size, asserting the full RunResult (including rebuild positions)
-/// and the exact words_touched count agree everywhere.
+/// The single loop: the sequential reference, the owning engine's sequential
+/// loop, then `apply_batch` at every batch size, asserting the full RunResult
+/// (including rebuild positions) agrees everywhere and the exact
+/// words_touched count agrees across the matrix legs.
 inline void expect_batches_equal_sequential(
     Vertex n, std::span<const EdgeUpdate> ups, const DynamicMatcherConfig& cfg,
     const std::vector<std::int64_t>& batch_sizes, std::int64_t min_rebuilds = 1) {
   std::int64_t want_words = -1;
   const RunResult want = run_sequential(n, ups, cfg, &want_words);
   EXPECT_GE(want.rebuilds, min_rebuilds) << "stream too small to exercise rebuilds";
+  EXPECT_EQ(run_owning(n, ups, cfg), want) << "owning engine";
   for (const std::int64_t batch_size : batch_sizes) {
     std::int64_t words = 0;
     EXPECT_EQ(run_batched(n, ups, cfg, batch_size, &words), want)

@@ -280,6 +280,24 @@ TEST(Problem1, ChunkAndQueryDiscipline) {
   EXPECT_EQ(p1.queries_left(), 3);
 }
 
+TEST(Problem1, QueryRejectsVerticesOutsideTheGraphWithoutSpendingIt) {
+  // A vertex outside [0, n) used to reach the oracle's bit vector after the
+  // budget moved, and its range assert aborted the process.
+  const Vertex n = 40;
+  MatrixWeakOracle oracle(n);
+  Problem1Instance p1(n, oracle, /*q=*/2, /*lambda=*/0.5, /*delta=*/0.01,
+                      /*alpha=*/0.25);
+  p1.apply_chunk(std::vector<EdgeUpdate>(10, EdgeUpdate::none()));
+  for (const std::vector<Vertex>& s :
+       {std::vector<Vertex>{0, n}, std::vector<Vertex>{0, -1}}) {
+    EXPECT_THROW((void)p1.query(s), std::invalid_argument) << "vertex " << s[1];
+    EXPECT_EQ(p1.queries_left(), 2);
+  }
+  EXPECT_EQ(oracle.calls(), 0);
+  (void)p1.query(std::vector<Vertex>{0, n - 1});
+  EXPECT_EQ(p1.queries_left(), 1);
+}
+
 TEST(Problem1, RejectsAlphaWithoutAChunkSize) {
   // alpha * n must be a finite chunk length that fits int64_t; it is checked
   // before the cast, which would otherwise be undefined behaviour.

@@ -2,13 +2,15 @@
 ///
 ///  * ReplayCoreDifferential — the fuzz/differential harness: one composite
 ///    update stream per seed (every dyn_* workload shape plus the mixed-churn
-///    shape) driven through the sequential apply loop and `apply_batch` at
-///    several batch sizes (tests/differential_util.hpp), asserting
-///    matchings, rebuild positions, weak-call counts and words_touched agree;
+///    shape) driven through the sequential apply loop, the owning engine's
+///    loop and `apply_batch` at several batch sizes
+///    (tests/differential_util.hpp), asserting matchings, rebuild positions,
+///    weak-call counts and words_touched agree;
 ///  * ReplayCoreGoldenTrace — byte-exact golden records (seed, stream
 ///    digest, rebuild positions, final matching hash) for six canonical
-///    workloads, so a silent replay-core behavior change fails even if every
-///    path drifts together (regenerate with BMF_UPDATE_GOLDEN=1);
+///    workloads, computed through both oracles, so a silent replay-core
+///    behavior change fails even if every path drifts together (regenerate
+///    with BMF_UPDATE_GOLDEN=1);
 ///  * ReplayCoreValidation — a rejected `apply` leaves every counter, the
 ///    rebuild schedule, the graph and the ledger untouched;
 ///  * ReplayCoreConfig — invariant tests for the one engine config (0 shards,
@@ -215,12 +217,7 @@ std::vector<GoldenCase> golden_cases() {
   return cases;
 }
 
-std::string trace_line(const GoldenCase& c) {
-  DynamicMatcherConfig cfg;
-  cfg.eps = c.eps;
-  cfg.seed = c.seed;
-  cfg.rebuild_every = c.rebuild_every;
-  const RunResult r = testdiff::run_sequential(c.n, c.ups, cfg);
+std::string trace_line(const GoldenCase& c, const RunResult& r) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "%s seed=%llu stream=%016llx updates=%lld rebuilds=%lld "
@@ -242,8 +239,18 @@ std::string golden_path() {
 }
 
 TEST(ReplayCoreGoldenTrace, CanonicalWorkloadsMatchRecordedTraces) {
-  std::vector<std::string> lines;
-  for (const GoldenCase& c : golden_cases()) lines.push_back(trace_line(c));
+  // Each line is computed twice: on an engine that borrows a
+  // MatrixWeakOracle, and on the owning engine, whose AdjacencyWeakOracle
+  // reads the engine's own graph. Both must reproduce the recorded file.
+  std::vector<std::string> lines, owning_lines;
+  for (const GoldenCase& c : golden_cases()) {
+    DynamicMatcherConfig cfg;
+    cfg.eps = c.eps;
+    cfg.seed = c.seed;
+    cfg.rebuild_every = c.rebuild_every;
+    lines.push_back(trace_line(c, testdiff::run_sequential(c.n, c.ups, cfg)));
+    owning_lines.push_back(trace_line(c, testdiff::run_owning(c.n, c.ups, cfg)));
+  }
 
   // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read-only env probe before any
   // thread exists; regeneration mode is a single-threaded dev invocation.
@@ -263,10 +270,12 @@ TEST(ReplayCoreGoldenTrace, CanonicalWorkloadsMatchRecordedTraces) {
   for (std::string line; std::getline(in, line);)
     if (!line.empty()) want.push_back(line);
   ASSERT_EQ(want.size(), lines.size()) << "golden file is stale";
-  for (std::size_t i = 0; i < lines.size(); ++i)
+  for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(lines[i], want[i])
         << "golden trace drifted — if the change is intentional, regenerate "
            "with BMF_UPDATE_GOLDEN=1 and justify the diff in the PR";
+    EXPECT_EQ(owning_lines[i], want[i]) << "owning engine";
+  }
 }
 
 // ---------------------------------------------------------------------------

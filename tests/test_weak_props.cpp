@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "dynamic/weak_oracle.hpp"
+#include "graph/dyn_graph.hpp"
 #include "omv/omv_weak.hpp"
 #include "workloads/gen.hpp"
 
@@ -98,6 +100,71 @@ TEST_P(WeakOracleProps, MatrixAndOMvOraclesAgreeOnCoverQueries) {
     EXPECT_EQ(ra.matching[i].u, rb.matching[i].u);
     EXPECT_EQ(ra.matching[i].v, rb.matching[i].v);
   }
+}
+
+TEST_P(WeakOracleProps, AdjacencyOracleAnswersEveryQueryLikeTheMatrix) {
+  // The adjacency oracle walks a DynGraph row in ascending order where the
+  // matrix oracle probes a masked bit row. The first marked neighbor is the
+  // lowest common column, so every answer must agree edge by edge, in order,
+  // and so must the bottom flag. Vertices 60..63 stay isolated.
+  Rng rng(GetParam() + 160);
+  constexpr Vertex n = 64;
+  const Graph g = gen_random_graph(60, 240, rng);
+  DynGraph dyn(n);
+  MatrixWeakOracle matrix(n);
+  AdjacencyWeakOracle adjacency(dyn);
+  for (const Edge& e : g.edges()) {
+    dyn.insert(e.u, e.v);
+    matrix.on_insert(e.u, e.v);
+  }
+
+  int answers = 0, bottoms = 0;
+  const auto expect_same = [&](const WeakQueryResult& want,
+                               const WeakQueryResult& got, const char* what) {
+    EXPECT_EQ(got.matching, want.matching) << what;
+    EXPECT_EQ(got.bottom, want.bottom) << what;
+    ++answers;
+    if (want.bottom) ++bottoms;
+  };
+  const auto check_all_queries = [&] {
+    // Unsorted sets of every density, each with some of its own vertices
+    // repeated, plus an empty set and one that is mostly isolated vertices.
+    std::vector<std::vector<Vertex>> sets{{}, {61, 0, 60, 63, 1, 62}};
+    for (int i = 0; i < 10; ++i) {
+      std::vector<Vertex> s = random_subset(n, 0.1 + 0.09 * i, rng);
+      for (std::size_t k = 0, size = s.size(); k < size / 4; ++k)
+        s.push_back(s[static_cast<std::size_t>(rng.next_below(size))]);
+      rng.shuffle(s);
+      sets.push_back(std::move(s));
+    }
+    // delta = 0.5 asks for 16 matched pairs, more than most sets hold, so
+    // both flags occur.
+    for (const double delta : {0.05, 0.5}) {
+      for (std::size_t i = 0; i < sets.size(); ++i) {
+        const std::vector<Vertex>& s = sets[i];
+        const std::vector<Vertex>& other = sets[(i + 1) % sets.size()];
+        expect_same(matrix.query(s, delta), adjacency.query(s, delta), "query");
+        // S+ = S- and overlapping random S+ and S-.
+        expect_same(matrix.query_cover(s, s, delta),
+                    adjacency.query_cover(s, s, delta), "cover, S+ = S-");
+        expect_same(matrix.query_cover(s, other, delta),
+                    adjacency.query_cover(s, other, delta), "cover");
+      }
+    }
+  };
+
+  check_all_queries();
+  for (const Edge& e : g.edges()) {
+    if (rng.next_below(3) != 0) continue;
+    dyn.erase(e.u, e.v);
+    matrix.on_erase(e.u, e.v);
+  }
+  check_all_queries();
+
+  EXPECT_EQ(adjacency.calls(), matrix.calls());
+  EXPECT_EQ(adjacency.rows_queried(), matrix.rows_queried());
+  EXPECT_GT(bottoms, 0);
+  EXPECT_LT(bottoms, answers);
 }
 
 TEST(WeakOracleCostAccounting, HandCountedWordsTouchedFixture) {
