@@ -57,7 +57,8 @@ struct CoreConfig {
   /// Thread-pool fan-out of boost_matching_ensemble's independent
   /// repetitions, the only reader of this field; boost_matching, the CONGEST
   /// simulator and every Theorem 6.2 rebuild are serial and ignore it.
-  /// 0 = std::thread::hardware_concurrency(), 1 = serial. The ensemble writes
+  /// 0 = std::thread::hardware_concurrency(), 1 = serial; a larger value is
+  /// capped at hardware concurrency (the pool's size). The ensemble writes
   /// one slot per repetition (util/thread_pool.hpp), so for a fixed `seed`
   /// its result is bit-identical at any thread count.
   int threads = 0;

@@ -87,7 +87,8 @@ class RandomGreedyMatchingOracle final : public MatchingOracle {
 /// bit-identical at any thread count.
 class BestOfKRandomGreedyOracle final : public MatchingOracle {
  public:
-  /// threads: 0 = hardware concurrency, 1 = serial.
+  /// threads: 0 = hardware concurrency, 1 = serial; a larger value is capped
+  /// at hardware concurrency.
   BestOfKRandomGreedyOracle(std::uint64_t seed, int samples, int threads = 0);
   [[nodiscard]] double approx_factor() const override { return 2.0; }
 

@@ -40,7 +40,8 @@ struct MpcConfig {
   /// Local memory per machine, in words. 0 disables enforcement.
   std::int64_t memory_words = 0;
   /// Simulation threads for per-machine local computation: 0 = hardware
-  /// concurrency, 1 = serial. Results are identical either way.
+  /// concurrency, 1 = serial; a larger value is capped at hardware
+  /// concurrency. Results are identical either way.
   int threads = 0;
 };
 

@@ -1,36 +1,38 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <map>
-
-#include "util/assert.hpp"
+#include <utility>
 
 namespace bmf {
 namespace {
 
-/// Set inside pool workers so nested parallel_for calls degrade to inline
-/// serial loops instead of deadlocking on their own pool.
-thread_local bool tl_inside_pool_worker = false;
+/// Set on a worker and on the caller while either runs a job's indices, so
+/// a nested parallel_for runs inline instead of waiting for the busy slot.
+thread_local bool tl_in_job = false;
 
 }  // namespace
 
 ThreadPool::ThreadPool(int threads) {
-  const int total = resolve_threads(threads);
-  const int spawned = std::max(0, total - 1);
-  workers_.reserve(static_cast<std::size_t>(spawned));
-  for (int i = 0; i < spawned; ++i) workers_.push_back(std::make_unique<Worker>());
-  threads_.reserve(static_cast<std::size_t>(spawned));
-  for (int i = 0; i < spawned; ++i)
-    threads_.emplace_back([this, i] { worker_loop(static_cast<std::size_t>(i)); });
+  const int workers = resolve_threads(threads) - 1;
+  threads_.reserve(static_cast<std::size_t>(workers));
+  try {
+    for (int i = 0; i < workers; ++i)
+      threads_.emplace_back([this, i] { worker_loop(i); });
+  } catch (...) {
+    // A failed spawn must not destroy the threads already running.
+    stop_and_join();
+    throw;
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
-    const MutexLock lock(idle_mutex_);
+    const MutexLock lock(mutex_);
     stop_ = true;
   }
-  idle_cv_.notify_all();
+  job_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
@@ -39,150 +41,80 @@ int ThreadPool::resolve_threads(int threads) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  // relaxed-ok: routing hint only — any interleaving distributes work fine
-  const std::size_t idx =
-      round_robin_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  {
-    Worker& target = *workers_[idx];
-    const MutexLock lock(target.mutex);
-    target.queue.push_back(std::move(task));
-  }
-  // Bridge the push and the notify with idle_mutex_ so a worker between its
-  // (empty) queue scan and its cv wait cannot miss this task: either it holds
-  // idle_mutex_ and scans after our push, or it is already waiting and gets
-  // the notify.
-  { const MutexLock lock(idle_mutex_); }
-  idle_cv_.notify_all();
-}
-
-bool ThreadPool::try_pop_or_steal(std::size_t self, std::function<void()>& out) {
-  {
-    Worker& own = *workers_[self];
-    const MutexLock lock(own.mutex);
-    if (!own.queue.empty()) {
-      out = std::move(own.queue.front());
-      own.queue.erase(own.queue.begin());
-      return true;
-    }
-  }
-  const std::size_t n = workers_.size();
-  for (std::size_t offset = 1; offset < n; ++offset) {
-    Worker& victim = *workers_[(self + offset) % n];
-    const MutexLock lock(victim.mutex);
-    if (!victim.queue.empty()) {
-      out = std::move(victim.queue.back());
-      victim.queue.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::any_task_queued() const {
-  for (const auto& w : workers_) {
-    const MutexLock qlock(w->mutex);
-    if (!w->queue.empty()) return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  tl_inside_pool_worker = true;
+void ThreadPool::run_indices(const std::function<void(std::int64_t)>& fn,
+                             std::int64_t n) {
+  tl_in_job = true;
   for (;;) {
-    std::function<void()> task;
-    if (try_pop_or_steal(self, task)) {
-      try {
-        task();
-      } catch (const std::exception& e) {
-        // parallel_for wraps its tasks in try/catch, so this only triggers
-        // for a raw submit() task that violated its no-throw contract; fail
-        // loudly instead of letting the exception terminate() without context.
-        std::fprintf(stderr, "ThreadPool: uncaught exception in submitted task: %s\n",
-                     e.what());
-        std::abort();
-      } catch (...) {
-        std::fprintf(stderr, "ThreadPool: uncaught exception in submitted task\n");
-        std::abort();
-      }
-      continue;
+    // relaxed-ok: index claim; fetch_add atomicity alone partitions the range
+    const std::int64_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) break;
+    try {
+      fn(i);
+    } catch (...) {
+      const MutexLock lock(mutex_);
+      if (!error_) error_ = std::current_exception();
     }
-    const MutexLock lock(idle_mutex_);
-    // submit() bridges its queue push with idle_mutex_ before notifying, so
-    // re-scanning the queues under this lock cannot miss a task; workers
-    // block indefinitely with no polling.
-    while (!stop_ && !any_task_queued()) idle_cv_.wait(idle_mutex_);
-    if (stop_) return;
+  }
+  tl_in_job = false;
+}
+
+void ThreadPool::worker_loop(int self) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    const std::function<void(std::int64_t)>* fn = nullptr;
+    std::int64_t n = 0;
+    {
+      const MutexLock lock(mutex_);
+      while (!stop_ && generation_ == seen) job_cv_.wait(mutex_);
+      if (stop_) return;
+      seen = generation_;
+      // A worker the job does not need skips it without touching the cursor.
+      if (self >= width_ - 1) continue;
+      fn = fn_;
+      n = n_;
+    }
+    run_indices(*fn, n);
+    // Check out only after the last call into *fn: the caller may return,
+    // and free what fn points at, as soon as busy_ reaches 0.
+    const MutexLock lock(mutex_);
+    if (--busy_ == 0) done_cv_.notify_all();
   }
 }
 
 void ThreadPool::parallel_for(std::int64_t n,
-                              const std::function<void(std::int64_t)>& fn) {
+                              const std::function<void(std::int64_t)>& fn,
+                              int width) {
   if (n <= 0) return;
-  if (tl_inside_pool_worker || workers_.empty() || n == 1) {
+  const int cap = width > 0 ? std::min(width, size()) : size();
+  const auto participants = static_cast<int>(std::min<std::int64_t>(cap, n));
+  if (tl_in_job || participants <= 1) {
     for (std::int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  // Chunk tasks claim indices from a shared cursor; the caller participates,
-  // so the loop completes even if every worker is busy elsewhere.
-  const auto chunks = std::min<std::int64_t>(
-      n, static_cast<std::int64_t>(workers_.size()));
-  std::atomic<std::int64_t> cursor{0};
-  std::atomic<std::int64_t> live{chunks};
-  Mutex done_mutex;
-  CondVar done_cv;
-  Mutex error_mutex;
-  std::exception_ptr error;
-
-  const auto drain = [&] {
-    for (;;) {
-      // relaxed-ok: index claim; fetch_add atomicity alone partitions the range
-      const std::int64_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        fn(i);
-      } catch (...) {
-        const MutexLock lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    }
-  };
-
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    submit([&] {
-      drain();
-      // Decrement AND notify under the mutex: the caller frees these locals
-      // as soon as its wait sees live == 0, so the count must not reach 0
-      // while this task could still touch done_mutex/done_cv afterwards.
-      const MutexLock lock(done_mutex);
-      if (live.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        done_cv.notify_all();
-    });
-  }
-  drain();
   {
-    const MutexLock lock(done_mutex);
-    while (live.load(std::memory_order_acquire) != 0) done_cv.wait(done_mutex);
+    const MutexLock lock(mutex_);
+    while (fn_ != nullptr) done_cv_.wait(mutex_);
+    fn_ = &fn;
+    n_ = n;
+    width_ = participants;
+    busy_ = participants - 1;
+    // relaxed-ok: workers claim only after taking mutex_, which publishes this
+    cursor_.store(0, std::memory_order_relaxed);
+    ++generation_;
   }
+  job_cv_.notify_all();
+  run_indices(fn, n);
+
+  std::exception_ptr error;
+  {
+    const MutexLock lock(mutex_);
+    while (busy_ != 0) done_cv_.wait(mutex_);
+    error = std::exchange(error_, nullptr);
+    fn_ = nullptr;
+  }
+  done_cv_.notify_all();
   if (error) std::rethrow_exception(error);
-}
-
-ThreadPool& ThreadPool::global() { return shared(0); }
-
-ThreadPool& ThreadPool::shared(int threads) {
-  const int total = resolve_threads(threads);
-  static Mutex registry_mutex;
-  static std::map<int, std::unique_ptr<ThreadPool>>* registry =
-      new std::map<int, std::unique_ptr<ThreadPool>>();  // leaked: process-lifetime
-  const MutexLock lock(registry_mutex);
-  auto& slot = (*registry)[total];
-  if (!slot) slot = std::make_unique<ThreadPool>(total);
-  return *slot;
 }
 
 namespace {
@@ -202,13 +134,15 @@ void force_parallel_small_work(bool force) {
 
 void parallel_for_threads(int threads, std::int64_t n,
                           const std::function<void(std::int64_t)>& fn) {
-  if (n <= 0) return;
-  const int effective = ThreadPool::resolve_threads(threads);
-  if (effective <= 1 || n == 1) {
+  const int width = ThreadPool::resolve_threads(threads);
+  if (width <= 1 || n <= 1) {
     for (std::int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool::shared(effective).parallel_for(n, fn);
+  // Process-lifetime: never destroyed, so no exit-time join can race a
+  // caller on another thread.
+  static ThreadPool* const pool = new ThreadPool(0);
+  pool->parallel_for(n, fn, width);
 }
 
 }  // namespace bmf

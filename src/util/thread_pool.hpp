@@ -1,13 +1,15 @@
 #pragma once
 
-/// A small work-stealing thread pool shared by the MPC simulator's supersteps
-/// (mpc::Cluster), best-of-k oracle sampling and the boosting ensemble.
+/// A fork-join thread pool for the three loops that fan out: the MPC
+/// simulator's supersteps (mpc::Cluster), best-of-k oracle sampling and the
+/// boosting ensemble.
 ///
-/// Tasks are distributed round-robin across per-worker deques; an idle worker
-/// first drains its own deque from the front, then steals from the back of a
-/// sibling's. `parallel_for` slices an index range into chunks that claim
-/// indices from a shared cursor, and the calling thread participates, so a
-/// pool configured for T threads uses T-1 workers plus the caller.
+/// The pool holds one job slot. parallel_for publishes {&fn, n, width} in it,
+/// bumps a generation counter and wakes the workers; the calling thread then
+/// claims indices from a shared cursor alongside the workers the job needs,
+/// so a pool of T threads uses T-1 workers plus the caller. The call returns
+/// once each of those workers has checked out. Idle workers block on a
+/// condition variable, and concurrent callers take turns on the slot.
 ///
 /// Determinism contract: parallel_for(n, fn) invokes fn exactly once per
 /// index in [0, n); callers must write results into per-index slots (never
@@ -18,8 +20,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -38,81 +40,52 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Configured concurrency (workers + the participating caller).
-  [[nodiscard]] int size() const { return static_cast<int>(workers_.size()) + 1; }
+  [[nodiscard]] int size() const { return static_cast<int>(threads_.size()) + 1; }
 
-  /// Fire-and-forget task submission. On a pool of size 1 the task runs
-  /// inline before returning. Tasks must not throw: an exception escaping a
-  /// submitted task aborts the process (prefer parallel_for, which captures
-  /// and rethrows on the calling thread).
-  void submit(std::function<void()> task);
-
-  /// Invokes fn(i) for every i in [0, n), potentially concurrently; blocks
-  /// until all invocations return. Nested calls from inside a pool worker run
-  /// inline (serial) to stay deadlock-free. The first exception thrown by any
-  /// fn(i) is rethrown on the calling thread after the loop drains.
-  void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
-
-  /// The process-wide default pool (hardware-concurrency sized).
-  static ThreadPool& global();
-
-  /// A process-wide cached pool of exactly `threads` total concurrency;
-  /// threads <= 0 resolves to global(). Pools live for the process lifetime.
-  static ThreadPool& shared(int threads);
+  /// Invokes fn(i) for every i in [0, n) on at most `width` threads, the
+  /// caller included (0 = size()); blocks until all invocations return. A
+  /// parallel_for made while a job's fn runs on this thread, on any pool,
+  /// runs inline (serial) to stay deadlock-free. Every index runs even after
+  /// one throws; the first exception is then rethrown on the calling thread.
+  void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn,
+                    int width = 0) BMF_EXCLUDES(mutex_);
 
   /// Resolves a `threads` configuration knob: 0 => hardware concurrency
   /// (at least 1), otherwise the knob itself.
   static int resolve_threads(int threads);
 
  private:
-  struct Worker {
-    Mutex mutex;
-    // front = index 0, steal = back
-    std::vector<std::function<void()>> queue BMF_GUARDED_BY(mutex);
-  };
+  void stop_and_join() BMF_EXCLUDES(mutex_);
+  void worker_loop(int self) BMF_EXCLUDES(mutex_);
+  /// Claims indices from cursor_ until the range is exhausted.
+  void run_indices(const std::function<void(std::int64_t)>& fn, std::int64_t n)
+      BMF_EXCLUDES(mutex_);
 
-  void worker_loop(std::size_t self);
-  bool try_pop_or_steal(std::size_t self, std::function<void()>& out);
-  /// Scan every worker queue for pending work. Called with idle_mutex_ held
-  /// (the submit-side bridge: submit() touches idle_mutex_ between its queue
-  /// push and its notify, so a worker that scans empty under this lock cannot
-  /// miss the subsequent notify).
-  [[nodiscard]] bool any_task_queued() const BMF_REQUIRES(idle_mutex_);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
+  Mutex mutex_;
+  /// Workers wait here for a new generation (or stop_).
+  CondVar job_cv_;
+  /// Callers wait here for the slot to free and for busy_ to reach 0.
+  CondVar done_cv_;
+  // The job slot, taken while fn_ is non-null. fn_ points into the caller's
+  // frame, so the caller waits for busy_ == 0 before it returns.
+  const std::function<void(std::int64_t)>* fn_ BMF_GUARDED_BY(mutex_) = nullptr;
+  std::int64_t n_ BMF_GUARDED_BY(mutex_) = 0;
+  /// Participating threads, caller included: workers 0 .. width_ - 2 join.
+  int width_ BMF_GUARDED_BY(mutex_) = 0;
+  std::uint64_t generation_ BMF_GUARDED_BY(mutex_) = 0;
+  /// Participating workers that have not yet checked out.
+  int busy_ BMF_GUARDED_BY(mutex_) = 0;
+  std::exception_ptr error_ BMF_GUARDED_BY(mutex_);
+  bool stop_ BMF_GUARDED_BY(mutex_) = false;
+  /// Next unclaimed index; reset under mutex_ before each generation.
+  std::atomic<std::int64_t> cursor_{0};
   std::vector<std::thread> threads_;
-  Mutex idle_mutex_;
-  CondVar idle_cv_;
-  /// Shutdown flag; every access is under idle_mutex_ (the annotation pass
-  /// demoted it from a redundant atomic — the cv rendezvous already needs the
-  /// lock on both sides).
-  bool stop_ BMF_GUARDED_BY(idle_mutex_) = false;
-  std::atomic<std::uint64_t> round_robin_{0};
 };
 
-/// RAII handle for the one legitimate dedicated-thread pattern outside the
-/// pool: spawn, run alongside caller work, join. Joining in the destructor
-/// means an exception on the spawning thread cannot leak a running thread.
-/// tools/determinism_lint.py bans raw `std::thread` construction outside
-/// `util/` + `service/`; code that needs such a thread uses this instead.
-class DedicatedThread {
- public:
-  explicit DedicatedThread(std::function<void()> fn) : thread_(std::move(fn)) {}
-  ~DedicatedThread() { join(); }
-  DedicatedThread(const DedicatedThread&) = delete;
-  DedicatedThread& operator=(const DedicatedThread&) = delete;
-
-  /// Blocks until the thread finishes; idempotent.
-  void join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  std::thread thread_;
-};
-
-/// Runs fn(i) for i in [0, n) with the shared pool for this `threads` knob
-/// (0 = hardware concurrency); an effective count of 1 or n <= 1 runs the
-/// loop serially inline with no pool machinery.
+/// Runs fn(i) for i in [0, n) on one process-wide pool sized at hardware
+/// concurrency, with min(threads, pool size, n) threads taking part
+/// (threads = 0 means hardware concurrency). An effective count of 1 or
+/// n <= 1 runs the loop serially inline and never creates the pool.
 void parallel_for_threads(int threads, std::int64_t n,
                           const std::function<void(std::int64_t)>& fn);
 
@@ -135,20 +108,5 @@ struct ForceParallelSmallWork {
   ForceParallelSmallWork(const ForceParallelSmallWork&) = delete;
   ForceParallelSmallWork& operator=(const ForceParallelSmallWork&) = delete;
 };
-
-/// Deterministic parallel map-reduce: slot i = map(i), computed in parallel,
-/// then combined left-to-right in index order (safe for non-commutative
-/// combines). Bit-identical at any thread count.
-template <typename T, typename MapFn, typename CombineFn>
-T parallel_reduce_threads(int threads, std::int64_t n, T init, MapFn&& map,
-                          CombineFn&& combine) {
-  std::vector<T> slots(static_cast<std::size_t>(n > 0 ? n : 0));
-  parallel_for_threads(threads, n, [&](std::int64_t i) {
-    slots[static_cast<std::size_t>(i)] = map(i);
-  });
-  T acc = std::move(init);
-  for (T& slot : slots) acc = combine(std::move(acc), std::move(slot));
-  return acc;
-}
 
 }  // namespace bmf

@@ -3,11 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "util/annotations.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bmf {
@@ -49,23 +50,6 @@ TEST(ThreadPool, ParallelForEmptyAndSingleton) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPool, SubmitRunsDetachedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  constexpr int kTasks = 64;
-  for (int i = 0; i < kTasks; ++i) pool.submit([&] { ++done; });
-  for (int spins = 0; spins < 5000 && done.load() < kTasks; ++spins)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(done.load(), kTasks);
-}
-
-TEST(ThreadPool, SubmitOnSerialPoolRunsInline) {
-  ThreadPool pool(1);
-  int done = 0;
-  pool.submit([&] { ++done; });
-  EXPECT_EQ(done, 1);
-}
-
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(4);
   std::atomic<std::int64_t> total{0};
@@ -77,11 +61,74 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
 
 TEST(ThreadPool, ExceptionPropagatesToCaller) {
   ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(100);
   EXPECT_THROW(pool.parallel_for(100,
                                  [&](std::int64_t i) {
+                                   ++hits[static_cast<std::size_t>(i)];
                                    if (i == 37) throw std::runtime_error("boom");
                                  }),
                std::runtime_error);
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i << " after the throw";
+
+  // The pool stays usable: the next loop covers every index once.
+  std::vector<std::atomic<int>> again(100);
+  pool.parallel_for(100, [&](std::int64_t i) { ++again[static_cast<std::size_t>(i)]; });
+  for (std::size_t i = 0; i < again.size(); ++i)
+    EXPECT_EQ(again[i].load(), 1) << "index " << i << " of the second loop";
+}
+
+/// Distinct thread ids that ran fn's indices.
+class ThreadIds {
+ public:
+  void record() {
+    const MutexLock lock(mutex_);
+    ids_.insert(std::this_thread::get_id());
+  }
+  [[nodiscard]] std::size_t count() {
+    const MutexLock lock(mutex_);
+    return ids_.size();
+  }
+
+ private:
+  Mutex mutex_;
+  std::set<std::thread::id> ids_ BMF_GUARDED_BY(mutex_);
+};
+
+TEST(ThreadPool, ParallelForUsesAtMostWidthThreads) {
+  ThreadPool pool(4);
+  for (int width : {1, 2, 3}) {
+    ThreadIds ids;
+    std::vector<std::atomic<int>> hits(2000);
+    pool.parallel_for(
+        2000,
+        [&](std::int64_t i) {
+          ids.record();
+          ++hits[static_cast<std::size_t>(i)];
+        },
+        width);
+    EXPECT_LE(ids.count(), static_cast<std::size_t>(width)) << "width=" << width;
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "width=" << width << " index " << i;
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersTakeTurns) {
+  ThreadPool pool(4);
+  constexpr int kLoops = 20;
+  constexpr std::int64_t kN = 5000;
+  const auto run = [&pool](std::vector<std::atomic<int>>& hits) {
+    for (int loop = 0; loop < kLoops; ++loop)
+      pool.parallel_for(kN, [&](std::int64_t i) { ++hits[static_cast<std::size_t>(i)]; });
+  };
+  std::vector<std::atomic<int>> mine(kN), theirs(kN);
+  std::thread other([&] { run(theirs); });
+  run(mine);
+  other.join();
+  for (std::size_t i = 0; i < static_cast<std::size_t>(kN); ++i) {
+    ASSERT_EQ(mine[i].load(), kLoops) << "index " << i;
+    ASSERT_EQ(theirs[i].load(), kLoops) << "index " << i;
+  }
 }
 
 TEST(ThreadPool, ParallelForThreadsHelperMatchesSerial) {
@@ -94,50 +141,14 @@ TEST(ThreadPool, ParallelForThreadsHelperMatchesSerial) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ThreadPool, ParallelReduceIsDeterministicAndOrdered) {
-  // Left-to-right combine on a non-commutative operation: a polynomial hash
-  // over the index sequence; any reordering changes the value.
-  const auto map = [](std::int64_t i) { return static_cast<std::uint64_t>(i + 1); };
-  const auto combine = [](std::uint64_t acc, std::uint64_t x) {
-    return acc * 31 + x;
-  };
-  const std::uint64_t expect =
-      parallel_reduce_threads(1, 200, std::uint64_t{7}, map, combine);
-  for (int t : {2, 8}) {
-    EXPECT_EQ(parallel_reduce_threads(t, 200, std::uint64_t{7}, map, combine),
-              expect)
-        << "threads=" << t;
-  }
-}
-
-TEST(ThreadPool, SharedPoolsAreCachedPerSize) {
-  ThreadPool& a = ThreadPool::shared(3);
-  ThreadPool& b = ThreadPool::shared(3);
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(a.size(), 3);
-}
-
-TEST(ThreadPool, DedicatedThreadJoinsOnDestructionAndIsIdempotent) {
-  std::atomic<bool> ran{false};
-  {
-    DedicatedThread t([&] { ran.store(true, std::memory_order_release); });
-    t.join();
-    t.join();  // second join is a no-op
-  }  // destructor would join too
-  EXPECT_TRUE(ran.load(std::memory_order_acquire));
-}
-
-TEST(ThreadPool, DedicatedThreadJoinsOnUnwind) {
-  // An exception in the caller's concurrent work must not leak the
-  // dedicated thread past its captures.
-  std::atomic<bool> ran{false};
-  EXPECT_THROW(
-      {
-        DedicatedThread t([&] { ran.store(true, std::memory_order_release); });
-        throw std::runtime_error("caller work failed");
-      },
-      std::runtime_error);
-  EXPECT_TRUE(ran.load(std::memory_order_acquire));
+TEST(ThreadPool, ParallelForThreadsIsCappedAtHardwareConcurrency) {
+  ThreadIds ids;
+  parallel_for_threads(16, 64, [&](std::int64_t) {
+    ids.record();
+    // Long enough that every pool thread that exists takes part.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  EXPECT_LE(ids.count(), static_cast<std::size_t>(ThreadPool::resolve_threads(0)));
 }
 
 }  // namespace

@@ -10,10 +10,11 @@ ordering-dependent count that breaks per-cell determinism.
 Structurally: a mutation (`+=`, `-=`, `++`, `--`, `=`, `.fetch_add`) of a
 manifest-listed ledger field (``ledger_fields``) is a finding when it
 sits inside the balanced argument extent of a parallel-region call
-(``parallel_for_threads``, ``parallel_reduce_threads``, pool
-``.parallel_for`` / ``.submit``, ``DedicatedThread`` launch) — directly,
-or one call level down (a helper that mutates a ledger field, called from
-inside the region, is flagged at the call site).
+(``parallel_for_threads`` or a pool's ``.parallel_for``; the patterns
+also keep matching ``.submit`` / ``.try_submit`` and a dedicated-thread
+wrapper's launch, so such a region cannot slip back in unchecked) —
+directly, or one call level down (a helper that mutates a ledger field,
+called from inside the region, is flagged at the call site).
 
 The rule has no sanctioned exceptions in ``src/``: every ledger counter
 is written by the coordinator thread outside any parallel region. A

@@ -8,8 +8,8 @@ block-scoped lifetimes recoverable structurally:
 
   * every ``MutexLock l(expr)`` is an acquisition of the mutex named by
     ``expr``'s final member component, resolved to a class-qualified id
-    (``ThreadPool::Worker::mutex``) via the tree-wide Mutex declaration
-    registry;
+    (``MatchingService::registry_mutex_``) via the tree-wide Mutex
+    declaration registry;
   * a guard holds from its declaration to the end of its enclosing block
     (tracked by brace depth), so an acquisition while another guard is
     live records the edge ``held -> new``;

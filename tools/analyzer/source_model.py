@@ -11,7 +11,7 @@ but must stay runnable on a stdlib-only box. This module builds a small
     class-qualified) name, and its parameter names;
   * declaration harvest — unordered-container variables (locals *and*
     members), pointer-element vectors, and ``Mutex`` declarations resolved
-    to their owning class (``ThreadPool::Worker::mutex``-style ids);
+    to their owning class (``MatchingService::registry_mutex_``-style ids);
   * call utilities — balanced extraction of a call's full argument text
     and its top-level comma split.
 

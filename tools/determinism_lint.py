@@ -15,21 +15,20 @@ discipline machine-checkable:
                         committed state or an order-sensitive consumer.
   bare-thread           No std::thread / std::jthread construction outside
                         src/util and src/service. Fan-out goes through the
-                        pool (bmf::parallel_for_threads); the one legitimate
-                        dedicated-thread pattern is bmf::DedicatedThread
-                        (util/thread_pool.hpp).
+                        pool (bmf::parallel_for_threads, util/thread_pool.hpp),
+                        which joins its fork-join before returning.
   raw-randomness        In src/core, src/dynamic, src/graph: no rand()/
                         srand()/time()/std::random_device — all randomness
                         flows from the seeded bmf::Rng (util/rng.hpp), split
                         serially before any fan-out.
   ungated-fanout        In src/core, src/dynamic, src/graph: the thread-count
-                        argument of every parallel_for_threads /
-                        parallel_reduce_threads call must come through
-                        bmf::gated_threads (directly, via a variable assigned
-                        from it, or via a local helper that returns it), or be
-                        the literal 1. The gate keeps small inputs serial
-                        without changing output — an ungated fan-out is either
-                        a perf bug or an unreviewed determinism claim.
+                        argument of every parallel_for_threads call must
+                        come through bmf::gated_threads (directly, via a
+                        variable assigned from it, or via a local helper that
+                        returns it), or be the literal 1. The gate keeps small
+                        inputs serial without changing output — an ungated
+                        fan-out is either a perf bug or an unreviewed
+                        determinism claim.
   raw-openmp            Everywhere under src/: no `#pragma omp` directives.
                         The repo has exactly one parallelism mechanism — the
                         shared pool behind bmf::parallel_for_threads with its
@@ -390,7 +389,7 @@ def lint_file(path: str, use_libclang: str) -> list[Finding]:
                     idx,
                     "bare-thread",
                     "std::thread outside util/ and service/; fan out through "
-                    "bmf::parallel_for_threads or use bmf::DedicatedThread",
+                    "bmf::parallel_for_threads",
                 )
 
     # ---- raw-randomness ------------------------------------------------------

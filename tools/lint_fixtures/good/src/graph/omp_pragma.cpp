@@ -2,6 +2,7 @@
 // per-slot partials combined in index order, thread count through the
 // gated_threads size gate. Mentioning OpenMP in a comment (like this one)
 // must not trip the rule; only a real `#pragma omp` line is a finding.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -10,17 +11,24 @@
 namespace bmf {
 namespace {
 
-constexpr std::int64_t kMinWork = 64;
+constexpr std::int64_t kChunk = 1024;
 
 }  // namespace
 
 std::int64_t sum_all(int threads, const std::vector<std::int64_t>& xs) {
   const auto n = static_cast<std::int64_t>(xs.size());
-  const int sum_threads = gated_threads(n, kMinWork, threads);
-  return parallel_reduce_threads<std::int64_t>(
-      sum_threads, n, 0,
-      [&](std::int64_t i) { return xs[static_cast<std::size_t>(i)]; },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
+  const std::int64_t chunks = (n + kChunk - 1) / kChunk;
+  std::vector<std::int64_t> partials(static_cast<std::size_t>(chunks));
+  const int sum_threads = gated_threads(chunks, 2, threads);
+  parallel_for_threads(sum_threads, chunks, [&](std::int64_t c) {
+    std::int64_t partial = 0;
+    for (std::int64_t i = c * kChunk; i < std::min(n, (c + 1) * kChunk); ++i)
+      partial += xs[static_cast<std::size_t>(i)];
+    partials[static_cast<std::size_t>(c)] = partial;
+  });
+  std::int64_t total = 0;
+  for (const std::int64_t partial : partials) total += partial;
+  return total;
 }
 
 }  // namespace bmf
