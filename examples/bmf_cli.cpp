@@ -74,8 +74,10 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  if (!(eps > 0 && eps <= 1)) {  // also rejects NaN
-    std::fprintf(stderr, "eps must be in (0, 1]\n");
+  if (!CoreConfig::eps_supported(eps)) {  // also rejects NaN
+    std::fprintf(stderr,
+                 "eps must be in (0, 1] with ceil(3/eps) + 1 <= INT_MAX "
+                 "(eps >= about 1.4e-9)\n");
     return 2;
   }
 

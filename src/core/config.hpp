@@ -20,8 +20,10 @@
 /// truncated oracle loop: by Theorem B.4 the graph then has no augmenting
 /// path of length <= l_max = 3/eps, which implies a (1+eps)-approximation.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -65,9 +67,21 @@ struct CoreConfig {
 
   /// --- derived quantities (Section 4) ---
 
+  /// True if eps lies in (0, 1] and the label bound l_max + 1 = ceil(3/eps) + 1
+  /// fits an int, i.e. eps >= about 1.4e-9. Written so NaN fails too. The phase
+  /// engine and every front end reject any other eps before doing work: a
+  /// smaller one used to wrap l_max, and the run then certified a matching
+  /// below (1+eps)-approximation.
+  [[nodiscard]] static bool eps_supported(double eps) {
+    return eps > 0.0 && eps <= 1.0 &&
+           std::ceil(3.0 / eps) + 1.0 <=
+               static_cast<double>(std::numeric_limits<int>::max());
+  }
+
   [[nodiscard]] int ell_max() const {
-    BMF_REQUIRE(eps > 0.0 && eps <= 1.0, "CoreConfig: eps must be in (0, 1]");
-    return std::max(1, static_cast<int>(std::ceil(3.0 / eps)));
+    BMF_REQUIRE(eps_supported(eps),
+                "CoreConfig: eps must be in (0, 1] with ceil(3/eps) + 1 <= INT_MAX");
+    return static_cast<int>(std::ceil(3.0 / eps));
   }
 
   /// Coarsest scale.
@@ -85,12 +99,12 @@ struct CoreConfig {
 
   /// Paper-scheduled pass-bundles per phase at scale h.
   [[nodiscard]] std::int64_t scheduled_pass_bundles(double h) const {
-    return static_cast<std::int64_t>(std::ceil(72.0 / (h * eps)));
+    return saturating_ceil(72.0 / (h * eps));
   }
 
   /// Paper-scheduled phases per scale at scale h.
   [[nodiscard]] std::int64_t scheduled_phases(double h) const {
-    return static_cast<std::int64_t>(std::ceil(144.0 / (h * eps)));
+    return saturating_ceil(144.0 / (h * eps));
   }
 
   /// Paper-scheduled oracle iterations per simulation loop (Algorithms 4, 5)
@@ -109,6 +123,16 @@ struct CoreConfig {
     const std::int64_t scheduled = scheduled_phases(h);
     return max_phases_per_scale > 0 ? std::min(max_phases_per_scale, scheduled)
                                     : scheduled;
+  }
+
+ private:
+  /// ceil(x) as an int64, saturated at INT64_MAX: at the finest scale the
+  /// pass-bundle and phase schedules pass it for eps below about 8.4e-9.
+  [[nodiscard]] static std::int64_t saturating_ceil(double x) {
+    constexpr double kLimit = 9223372036854775808.0;  // 2^63
+    const double c = std::ceil(x);
+    return c >= kLimit ? std::numeric_limits<std::int64_t>::max()
+                       : static_cast<std::int64_t>(c);
   }
 };
 

@@ -16,6 +16,22 @@
 // certificate instead of issuing it falsely.
 
 namespace bmf {
+namespace {
+
+/// True if a vertex of the forest's outer log is an endpoint of an H' arc
+/// (outer, live, different structures). An H' arc can only appear at a
+/// logged vertex (structures.hpp), so false proves H' empty.
+bool logged_hprime_arc(const StructureForest& forest, const Graph& g) {
+  for (const Vertex w : forest.outer_log()) {
+    if (!forest.is_outer(w)) continue;  // removed since it was logged
+    const StructureId sw = forest.structure_of(w);
+    for (const Vertex x : g.neighbors(w))
+      if (forest.is_outer(x) && forest.structure_of(x) != sw) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 FrameworkDriver::FrameworkDriver(const Graph& g, MatchingOracle& oracle,
                                  const CoreConfig& cfg)
@@ -33,8 +49,17 @@ void FrameworkDriver::extend_active_path(StructureForest& forest) {
   if (cfg_.stage_split) {
     // Algorithm 5: stages s = 0 .. l_max; stage s handles s-feasible arcs
     // (Definition 5.7), i.e. type-3 arcs whose overtaker sits at level s.
+    // A stage below the next eligible level has no left node: it would count
+    // one loop and one empty sweep and stop, so it is skipped with just that.
     const int lmax = cfg_.ell_max();
-    for (int s = 0; s <= lmax; ++s) run_stage(forest, s);
+    for (int s = 0; s <= lmax;) {
+      const int next = std::min(forest.next_eligible_level(s), lmax + 1);
+      stats_.stage_loops += next - s;
+      stats_.sweep_rounds += next - s;
+      if (next > lmax) break;
+      run_stage(forest, next);
+      s = next + 1;
+    }
   } else {
     // [FMU22]-style ablation: one loop over all type-3 arcs, no stage split.
     run_stage(forest, -1);
@@ -154,7 +179,9 @@ void FrameworkDriver::run_local_contractions(StructureForest& forest) {
   // Step 1 of Contract-and-Augment: exhaust type-1 arcs. Only arcs incident
   // to a working vertex qualify (Definition 5.2), so it suffices to rescan
   // the (growing) working blossom after each contraction. The scan copies
-  // the blossom's vertices first: a contraction grows the arena.
+  // the blossom's vertices first: a contraction grows the arena. A
+  // contraction-clean vertex has no contractible arc, so skipping it leaves
+  // the contraction order as is; a full scan that finds none marks it.
   for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
     bool changed = true;
     while (changed) {
@@ -164,6 +191,7 @@ void FrameworkDriver::run_local_contractions(StructureForest& forest) {
       scan_.clear();
       forest.arena().collect_vertices(si.working, scan_);
       for (Vertex w : scan_) {
+        if (forest.is_contraction_clean(w)) continue;
         for (Vertex x : g_.neighbors(w)) {
           if (forest.can_contract(w, x)) {
             forest.contract(w, x);
@@ -172,6 +200,7 @@ void FrameworkDriver::run_local_contractions(StructureForest& forest) {
           }
         }
         if (changed) break;
+        forest.mark_contraction_clean(w);
       }
     }
   }
@@ -180,6 +209,14 @@ void FrameworkDriver::run_local_contractions(StructureForest& forest) {
 void FrameworkDriver::run_augment_loop(StructureForest& forest) {
   // Step 2 of Contract-and-Augment (Algorithm 4): iterate A_matching on the
   // structure graph H' (Definition 5.4) and Augment along each matched pair.
+  // Most sweeps find H' empty; the outer log proves that without the member
+  // scan below, which still builds every non-empty H'. Only a sweep that
+  // found H' empty clears the log.
+  if (!logged_hprime_arc(forest, g_)) {
+    ++stats_.sweep_rounds;
+    forest.clear_outer_log();
+    return;
+  }
   const std::int64_t iteration_bound =
       cfg_.scheduled_iterations(oracle_.approx_factor());
   std::int64_t iterations = 0;
@@ -214,7 +251,10 @@ void FrameworkDriver::run_augment_loop(StructureForest& forest) {
       }
     }
     ++stats_.sweep_rounds;
-    if (pair_witness.empty()) break;
+    if (pair_witness.empty()) {
+      forest.clear_outer_log();
+      break;
+    }
 
     OracleGraph h;
     h.n = static_cast<std::int32_t>(index.size());

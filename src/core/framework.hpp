@@ -15,9 +15,11 @@
 /// runs the phase engine with this driver.
 ///
 /// Each simulation iteration builds its derived graph (H'_s or H') in one
-/// serial sweep over the live structures in structure-id order. The
-/// Theorem 6.2 rebuild inside the dynamic matcher runs its exhaustion sweeps
-/// through this driver.
+/// serial sweep over the live structures in structure-id order. Two cases
+/// build nothing: a stage below the forest's next eligible level, and an H'
+/// sweep whose outer log holds no H' arc (structures.hpp); each still counts
+/// its one empty sweep. The Theorem 6.2 rebuild inside the dynamic matcher
+/// runs its exhaustion sweeps through this driver.
 
 #include <cstdint>
 #include <functional>

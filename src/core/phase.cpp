@@ -19,10 +19,12 @@ void accumulate(OpCounts& into, const OpCounts& from) {
 BoostOutcome PhaseEngine::run(Matching& m, PassBundleDriver& driver) const {
   BMF_REQUIRE(m.num_vertices() == g_.num_vertices(),
               "PhaseEngine::run: matching size mismatch");
-  // Written so NaN fails too: a NaN eps makes last_scale() NaN (the scale
-  // loop never ends) and the phase / bundle caps undefined integer casts.
-  BMF_REQUIRE(cfg_.eps > 0 && cfg_.eps <= 1,
-              "PhaseEngine::run: eps must be in (0, 1]");
+  // Rejects NaN too: a NaN eps makes last_scale() NaN (the scale loop never
+  // ends). An eps too small for l_max + 1 to fit an int wrapped l_max and
+  // certified what Theorem B.4 does not.
+  BMF_REQUIRE(CoreConfig::eps_supported(cfg_.eps),
+              "PhaseEngine::run: eps must be in (0, 1] with ceil(3/eps) + 1 <= "
+              "INT_MAX");
   BoostOutcome out;
   for (double h = CoreConfig::first_scale();; h /= 2.0) {
     ++out.scales;

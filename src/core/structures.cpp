@@ -22,6 +22,9 @@ void StructureForest::init_phase() {
   vert_struct_.assign(static_cast<std::size_t>(n), kNoStructure);
   removed_.assign(static_cast<std::size_t>(n), 0);
   lab_.assign(static_cast<std::size_t>(n), 0);
+  outer_log_.clear();
+  logged_.assign(static_cast<std::size_t>(n), 0);
+  clean_.assign(static_cast<std::size_t>(n), 0);
   totals_ = OpCounts{};
   bundle_ops_ = 0;
   hold_seen_ = false;
@@ -43,6 +46,7 @@ void StructureForest::init_phase() {
     nb.structure = sid;
     nb.outer = true;
     vert_struct_[static_cast<std::size_t>(v)] = sid;
+    note_outer(v);
   }
 }
 
@@ -66,6 +70,21 @@ void StructureForest::mark_modified(StructureId s) {
   structures_[static_cast<std::size_t>(s)].modified = true;
 }
 
+void StructureForest::note_outer(Vertex x) {
+  const auto xi = static_cast<std::size_t>(x);
+  if (logged_[xi] == 0) {
+    logged_[xi] = 1;
+    outer_log_.push_back(x);
+  }
+  clean_[xi] = 0;
+  for (Vertex y : g_.neighbors(x)) clean_[static_cast<std::size_t>(y)] = 0;
+}
+
+void StructureForest::clear_outer_log() {
+  for (Vertex x : outer_log_) logged_[static_cast<std::size_t>(x)] = 0;
+  outer_log_.clear();
+}
+
 bool StructureForest::is_outer(Vertex v) const {
   if (structure_of(v) == kNoStructure) return false;
   return arena_.node(arena_.omega(v)).outer;
@@ -83,6 +102,17 @@ int StructureForest::outer_level(BlossomId b) const {
   // The matched arc entering b from its parent is (pe_u, base); its label is
   // stored at its tail pe_u.
   return lab_[static_cast<std::size_t>(nb.pe_u)];
+}
+
+int StructureForest::next_eligible_level(int s) const {
+  int best = lmax_ + 1;
+  for (const StructureInfo& si : structures_) {
+    if (si.removed || si.on_hold || si.extended || si.working == kNoBlossom)
+      continue;
+    const int level = outer_level(si.working);
+    if (level >= s && level < best) best = level;
+  }
+  return best;
 }
 
 std::vector<BlossomId> StructureForest::active_path(StructureId s) const {
@@ -173,6 +203,7 @@ void StructureForest::overtake(Vertex u, Vertex v, int k) {
     a.size += 2;
     lab_[static_cast<std::size_t>(v)] = k;
     a.working = bt;
+    note_outer(t);
     mark_extended(su);
     ++totals_.overtake_unvisited;
     ++bundle_ops_;
@@ -249,12 +280,14 @@ void StructureForest::move_subtree(BlossomId sub_root, StructureId from,
     const BlossomId b = queue.front();
     queue.pop_front();
     arena_.node(b).structure = to;
+    const bool outer = arena_.node(b).outer;
     verts.clear();
     arena_.collect_vertices(b, verts);
     for (Vertex w : verts) {
       vert_struct_[static_cast<std::size_t>(w)] = to;
       dst.members.push_back(w);
       ++moved;
+      if (outer) note_outer(w);
     }
     for (BlossomId c : arena_.node(b).tree_children) queue.push_back(c);
   }
@@ -360,9 +393,11 @@ void StructureForest::contract(Vertex u, Vertex v) {
     BMF_ASSERT(a.root == lca);
     a.root = nb_id;
   }
-  // Retire the tree fields of the absorbed cycle members.
+  // Retire the tree fields of the absorbed cycle members; the inner ones
+  // (trivial) are outer from now on.
   for (BlossomId cb : bn.cycle) {
     BlossomNode& cn = arena_.node(cb);
+    if (!cn.outer) note_outer(cn.vert);
     cn.tree_parent = kNoBlossom;
     cn.tree_children.clear();
     cn.pe_u = cn.pe_v = kNoVertex;
@@ -544,6 +579,32 @@ void StructureForest::check_invariants() const {
       const StructureId sid = vert_struct_[static_cast<std::size_t>(v)];
       BMF_ASSERT(!structures_[static_cast<std::size_t>(sid)].removed);
       BMF_ASSERT(seen[static_cast<std::size_t>(v)]);
+    }
+  }
+
+  // The change-tracking state (file comment of structures.hpp).
+  std::int64_t logged = 0;
+  for (Vertex v = 0; v < n; ++v) logged += logged_[static_cast<std::size_t>(v)];
+  BMF_ASSERT(logged == static_cast<std::int64_t>(outer_log_.size()));
+  for (Vertex x : outer_log_) BMF_ASSERT(logged_[static_cast<std::size_t>(x)] != 0);
+  for (Vertex w = 0; w < n; ++w) {
+    if (!is_outer(w)) {
+      // Only working-blossom vertices get marked, and outer stays outer.
+      BMF_ASSERT(!is_contraction_clean(w) || is_removed(w));
+      continue;
+    }
+    const StructureId sw = structure_of(w);
+    for (Vertex x : g_.neighbors(w)) {
+      if (!is_outer(x)) continue;
+      // A contraction-clean vertex has no contractible arc: no outer neighbour
+      // of its own structure outside its root blossom.
+      if (is_contraction_clean(w) && structure_of(x) == sw)
+        BMF_ASSERT_MSG(omega(x) == omega(w), "clean vertex has a contractible arc");
+      // Every H' arc has an endpoint in the outer log.
+      if (structure_of(x) != sw)
+        BMF_ASSERT_MSG(logged_[static_cast<std::size_t>(w)] != 0 ||
+                           logged_[static_cast<std::size_t>(x)] != 0,
+                       "H' arc with no endpoint in the outer log");
     }
   }
 }

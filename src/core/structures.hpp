@@ -10,6 +10,21 @@
 /// structures; recorded augmenting paths are applied to the matching by the
 /// phase engine after the phase ends (Algorithm 1 line 6). The matching is
 /// read-only during a phase.
+///
+/// Two pieces of per-phase state let the drivers' sweeps skip what has not
+/// changed since they last looked. Both are kept by one private hook,
+/// `note_outer(x)`, which runs wherever a vertex becomes outer (a root at
+/// `init_phase`, Overtake case 1's new outer vertex, an inner cycle member a
+/// contraction absorbs) or moves to another structure while outer (Overtake
+/// case 2.2):
+///  * the outer log: every such vertex since the log was last cleared. An
+///    inter-structure outer/outer arc (an H' arc, Definition 5.4) can only
+///    appear at a logged vertex, since removal is permanent, blossoms never
+///    split within a phase and the matching is phase-constant; so a sweep that
+///    finds no such arc at a logged vertex proves H' empty;
+///  * contraction-clean bits: a vertex whose full neighbour scan found no
+///    contractible arc keeps its bit until `note_outer` runs on it or on a
+///    neighbour, the only events that can give it one.
 
 #include <cstdint>
 #include <vector>
@@ -113,6 +128,28 @@ class StructureForest {
   /// distance(u) of Algorithm 3 and the stage index s of Definition 5.8.
   [[nodiscard]] int outer_level(BlossomId b) const;
 
+  /// The lowest level >= s at which a structure can still extend in this
+  /// pass-bundle (live, not on hold, not extended, with a working vertex at
+  /// that outer_level), or l_max + 1 if there is none. Stages below it have
+  /// no left node, so the drivers skip them. One scan over the structures.
+  [[nodiscard]] int next_eligible_level(int s) const;
+
+  // ---- change tracking (see the file comment) ------------------------------
+
+  /// Vertices that became outer, or moved while outer, since the last
+  /// `clear_outer_log`, each once, in the order they did.
+  [[nodiscard]] const std::vector<Vertex>& outer_log() const { return outer_log_; }
+  /// Only a sweep that has just found H' empty may call this.
+  void clear_outer_log();
+
+  /// v's last full neighbour scan found no contractible arc, and no vertex in
+  /// N[v] has become outer or moved since.
+  [[nodiscard]] bool is_contraction_clean(Vertex v) const {
+    return clean_[static_cast<std::size_t>(v)] != 0;
+  }
+  /// Records such a scan of a working-blossom vertex.
+  void mark_contraction_clean(Vertex v) { clean_[static_cast<std::size_t>(v)] = 1; }
+
   // ---- structures --------------------------------------------------------
 
   [[nodiscard]] StructureId num_structures() const {
@@ -148,6 +185,9 @@ class StructureForest {
  private:
   void mark_extended(StructureId s);
   void mark_modified(StructureId s);
+  /// x became outer or moved while outer: log it, and clear the clean bits of
+  /// x and its neighbours.
+  void note_outer(Vertex x);
   void detach_from_parent(BlossomId b);
   void move_subtree(BlossomId sub_root, StructureId from, StructureId to);
   /// G-vertex path from u back to the structure's free root (u first).
@@ -164,6 +204,9 @@ class StructureForest {
   std::vector<int> lab_;
   std::vector<std::uint8_t> removed_;
   std::vector<std::vector<Vertex>> paths_;
+  std::vector<Vertex> outer_log_;
+  std::vector<std::uint8_t> logged_;  ///< v is in outer_log_
+  std::vector<std::uint8_t> clean_;   ///< contraction-clean bits
 
   OpCounts totals_;
   std::int64_t bundle_ops_ = 0;

@@ -132,8 +132,12 @@ void WeakOracleDriver::run_overtake_stage(StructureForest& forest, int stage) {
 }
 
 void WeakOracleDriver::extend_active_path(StructureForest& forest) {
+  // A stage with no eligible structure at its level neither sweeps nor draws
+  // a random number, so only the eligible levels run.
   const int lmax = cfg_.core.ell_max();
-  for (int s = 0; s <= lmax; ++s) run_overtake_stage(forest, s);
+  for (int s = forest.next_eligible_level(0); s <= lmax;
+       s = forest.next_eligible_level(s + 1))
+    run_overtake_stage(forest, s);
   if (cfg_.exhaustive_fallback) fallback_.extend_active_path(forest);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/framework.hpp"
 #include "core/structures.hpp"
 #include "matching/matching.hpp"
 
@@ -399,6 +400,119 @@ TEST(StructureForest, OpsCountersTrackOperations) {
   f.begin_pass_bundle(1000);
   EXPECT_EQ(f.ops_this_bundle(), 0);
   EXPECT_EQ(f.totals().overtake_unvisited, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Change tracking: the outer log, contraction-clean bits and eligible levels.
+// ---------------------------------------------------------------------------
+
+TEST(StructureForest, InitPhaseLogsEveryRoot) {
+  // With no matching, H' starts as the whole graph: both roots must be logged
+  // for the augment sweep's log scan to see the arc.
+  const Graph g = make_graph(3, std::vector<Edge>{{0, 1}});
+  Matching m(3);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  EXPECT_EQ(f.outer_log(), (std::vector<Vertex>{0, 1, 2}));
+  GreedyMatchingOracle oracle;
+  FrameworkDriver driver(g, oracle, cfg);
+  f.begin_pass_bundle(1000);
+  driver.run_augment_loop(f);
+  EXPECT_EQ(f.recorded_paths().size(), 1u);
+  EXPECT_TRUE(f.outer_log().empty());  // the last sweep found H' empty
+  f.check_invariants();
+}
+
+TEST(StructureForest, StealLogsTheOuterVerticesItMoves) {
+  // S_0: 0 - 1 = 2 - 3 = 4, with the arc 4 - 0 left uncontracted; S_5 steals
+  // {3, 4} through 5 - 3. The moved 4 then forms the H' arc (4, 0), whose
+  // other endpoint left the log when a sweep found H' empty.
+  const Graph g = make_graph(
+      6, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {5, 3}});
+  Matching m(6);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  GreedyMatchingOracle oracle;
+  FrameworkDriver driver(g, oracle, cfg);
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  driver.run_augment_loop(f);  // H' is empty: clears the log
+  ASSERT_TRUE(f.outer_log().empty());
+  ASSERT_TRUE(f.recorded_paths().empty());
+
+  f.begin_pass_bundle(1000);
+  ASSERT_TRUE(f.can_overtake(5, 3, 1));
+  f.overtake(5, 3, 1);  // case 2.2
+  EXPECT_EQ(f.structure_of(4), f.structure_of(5));
+  EXPECT_EQ(f.outer_log(), (std::vector<Vertex>{4}));
+  f.check_invariants();
+  driver.run_augment_loop(f);
+  ASSERT_EQ(f.recorded_paths().size(), 1u);
+  EXPECT_EQ(f.recorded_paths()[0], (std::vector<Vertex>{0, 4, 3, 5}));
+}
+
+TEST(StructureForest, NewOuterVertexClearsItsNeighboursCleanBits) {
+  // 5 is scanned clean while 4 sits in another structure; the steal brings 4
+  // into 5's structure, which makes (5, 4) contractible, so 5 must lose its
+  // bit.
+  const Graph g = make_graph(
+      6, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 3}, {5, 4}});
+  Matching m(6);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  GreedyMatchingOracle oracle;
+  FrameworkDriver driver(g, oracle, cfg);
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  driver.run_local_contractions(f);
+  EXPECT_TRUE(f.is_contraction_clean(4));
+  EXPECT_TRUE(f.is_contraction_clean(5));
+  f.check_invariants();
+
+  f.begin_pass_bundle(1000);
+  f.overtake(5, 3, 1);  // case 2.2: {3, 4} joins S_5
+  EXPECT_FALSE(f.is_contraction_clean(4));
+  EXPECT_FALSE(f.is_contraction_clean(5));
+  f.check_invariants();
+  driver.run_local_contractions(f);
+  EXPECT_EQ(f.totals().contracts, 1);
+  EXPECT_EQ(f.omega(4), f.omega(5));
+  f.check_invariants();
+}
+
+TEST(StructureForest, NextEligibleLevelSkipsEmptyLevels) {
+  // 0 - 1 = 2 - 3 = 4 and a second root 5 with no arc.
+  const Graph g =
+      make_graph(6, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  Matching m(6);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  const int none = cfg.ell_max() + 1;
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.begin_pass_bundle(1000);
+  EXPECT_EQ(f.next_eligible_level(0), 0);
+  EXPECT_EQ(f.next_eligible_level(1), none);
+  f.overtake(0, 1, 1);  // S_0 is extended for the rest of the bundle
+  EXPECT_EQ(f.next_eligible_level(0), 0);  // S_5 is still at level 0
+  f.begin_pass_bundle(1000);
+  EXPECT_EQ(f.next_eligible_level(0), 0);
+  EXPECT_EQ(f.next_eligible_level(1), 1);  // S_0's working vertex 2
+  EXPECT_EQ(f.next_eligible_level(2), none);
+  f.begin_pass_bundle(1);  // every structure on hold
+  EXPECT_EQ(f.next_eligible_level(0), none);
 }
 
 }  // namespace

@@ -182,6 +182,62 @@ TEST(Framework, StageSplitOffMatchesGuarantee) {
             static_cast<double>(maximum_matching_size(g)));
 }
 
+/// Five odd 7-cycles and five adversarial 3-chains joined by ten random
+/// chords: the cycles force contractions and, at these seeds, the chords make
+/// structures steal subtrees from each other (Overtake case 2.2).
+Graph cycles_and_chains(std::uint64_t seed) {
+  const Graph cycles = gen_odd_cycles(5, 7);
+  const Graph chains = gen_adversarial_chains(5, 3);
+  const Vertex shift = cycles.num_vertices();
+  const Vertex n = shift + chains.num_vertices();
+  std::vector<Edge> edges(cycles.edges().begin(), cycles.edges().end());
+  for (const Edge& e : chains.edges()) edges.push_back({e.u + shift, e.v + shift});
+  Rng rng(seed);
+  const Graph chords = gen_random_graph(n, 10, rng);
+  edges.insert(edges.end(), chords.edges().begin(), chords.edges().end());
+  return make_graph(n, edges);
+}
+
+TEST(Framework, ChangeTrackingInvariantsHoldThroughContractionsAndSteals) {
+  // check_invariants runs StructureForest::check_invariants after every
+  // pass-bundle, which also checks the change-tracking state: no
+  // contraction-clean vertex has a contractible arc, and every H' arc has an
+  // endpoint in the outer log.
+  std::int64_t contracts = 0, steals = 0;
+  const auto tally = [&](const Graph& g, const Matching& m, const BoostOutcome& o) {
+    EXPECT_TRUE(m.is_valid_in(g));
+    contracts += o.ops.contracts;
+    steals += o.ops.overtake_steal;
+  };
+  for (const std::uint64_t seed : {1, 3, 6}) {
+    const Graph g = cycles_and_chains(seed);
+    for (const double eps : {1.0, 0.5}) {
+      CoreConfig cfg;
+      cfg.eps = eps;
+      cfg.check_invariants = true;
+      {
+        GreedyMatchingOracle oracle;
+        const BoostResult r = boost_matching(g, oracle, cfg);
+        tally(g, r.matching, r.outcome);
+      }
+      {
+        RandomGreedyMatchingOracle oracle(7);
+        const BoostResult r = boost_matching(g, oracle, cfg);
+        tally(g, r.matching, r.outcome);
+      }
+      {
+        MatrixWeakOracle oracle = MatrixWeakOracle::from_graph(g);
+        WeakSimConfig wcfg;
+        wcfg.core = cfg;
+        const WeakBoostResult r = static_weak_matching(g, oracle, wcfg);
+        tally(g, r.matching, r.outcome);
+      }
+    }
+  }
+  EXPECT_GT(contracts, 0);
+  EXPECT_GT(steals, 0);
+}
+
 TEST(Framework, ExactOracleWorksToo) {
   Rng rng(17);
   const Graph g = gen_random_graph(80, 200, rng);

@@ -3,7 +3,9 @@
 #include <sstream>
 #include <string>
 
+#include "core/framework.hpp"
 #include "dynamic/partial_dynamic.hpp"
+#include "dynamic/static_weak.hpp"
 #include "dynamic/weak_oracle.hpp"
 #include "io/graph_io.hpp"
 #include "matching/augmenting.hpp"
@@ -208,6 +210,116 @@ TEST_P(CertificateCrossCheck, CertifiedRunsHaveNoShortAugmentingPath) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CertificateCrossCheck,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/// True if g has an M-augmenting path of at most max_len edges. Brute force
+/// over every simple alternating path from every free vertex, so paths
+/// through odd cycles (blossoms) count too; exponential, for small n only.
+bool has_short_augmenting_path(const Graph& g, const Matching& m, int max_len) {
+  std::vector<std::uint8_t> on_path(static_cast<std::size_t>(g.num_vertices()), 0);
+  const auto mark = [&](Vertex v, std::uint8_t value) {
+    on_path[static_cast<std::size_t>(v)] = value;
+  };
+  // The path has len edges and ends at v, entered by a matched edge (or v is
+  // the free start): extend it by an unmatched edge, then the matched one.
+  const auto extend = [&](const auto& self, Vertex v, int len) -> bool {
+    for (const Vertex x : g.neighbors(v)) {
+      if (on_path[static_cast<std::size_t>(x)] != 0) continue;
+      if (m.is_free(x)) return true;  // augmenting, len + 1 <= max_len edges
+      const Vertex y = m.mate(x);
+      if (len + 3 > max_len || on_path[static_cast<std::size_t>(y)] != 0) continue;
+      mark(x, 1);
+      mark(y, 1);
+      const bool found = self(self, y, len + 2);
+      mark(x, 0);
+      mark(y, 0);
+      if (found) return true;
+    }
+    return false;
+  };
+  for (Vertex s = 0; s < g.num_vertices(); ++s) {
+    if (!m.is_free(s) || max_len < 1) continue;
+    mark(s, 1);
+    const bool found = extend(extend, s, 0);
+    mark(s, 0);
+    if (found) return true;
+  }
+  return false;
+}
+
+TEST(CertificateCrossCheck, BruteForceCheckerAgreesWithBerge) {
+  // With no length bound the checker finds a path iff M is not maximum.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const Vertex n = 8 + static_cast<Vertex>(seed % 9);
+    const Graph g = gen_random_graph(n, 2 * n, rng);
+    Matching m = greedy_maximal_matching(g);
+    if (seed % 2 == 0 && m.size() > 0) m.remove_at(m.edge_list().front().u);
+    EXPECT_EQ(has_short_augmenting_path(g, m, n), augmenting_deficit(g, m) > 0)
+        << "seed=" << seed;
+  }
+  // A flower: stem 7 - 6 = 0 into the 5-cycle 0 - 1 = 2 - 3 = 4 - 0, and the
+  // free 8 hangs at 4. The only augmenting path, 7 - 6 = 0 - 1 = 2 - 3 = 4 - 8
+  // (7 edges), goes round the blossom; an alternating BFS that ignores
+  // blossoms reaches 4 only through 0 - 4, on the side that cannot leave it
+  // by an unmatched edge, and misses it.
+  const Graph flower = make_graph(9, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4},
+                                                       {4, 0}, {6, 0}, {7, 6}, {4, 8}});
+  Matching fm(9);
+  fm.add(0, 6);
+  fm.add(1, 2);
+  fm.add(3, 4);
+  EXPECT_FALSE(has_short_augmenting_path(flower, fm, 6));
+  EXPECT_TRUE(has_short_augmenting_path(flower, fm, 7));
+}
+
+TEST(CertificateCrossCheck, GeneralGraphCertificatesHaveNoShortAugmentingPath) {
+  // Theorem B.4 on non-bipartite graphs: a certified run leaves no
+  // augmenting path of length <= l_max = ceil(3/eps), blossoms included.
+  std::vector<Graph> graphs;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const Vertex n = 11 + static_cast<Vertex>(seed % 10);  // 11 .. 20
+    graphs.push_back(gen_random_graph(n, 3 * n, rng));
+  }
+  graphs.push_back(gen_odd_cycles(3, 5));
+  graphs.push_back(gen_odd_cycles(2, 9));
+  int certified = 0;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    for (const double eps : {1.0, 0.5}) {
+      CoreConfig cfg;
+      cfg.eps = eps;
+      cfg.seed = i + 1;
+      const int lmax = cfg.ell_max();
+      const auto audit = [&](const char* who, const Matching& m, bool is_certified) {
+        ASSERT_TRUE(m.is_valid_in(g));
+        if (!is_certified) return;
+        ++certified;
+        EXPECT_FALSE(has_short_augmenting_path(g, m, lmax))
+            << who << " graph " << i << " eps=" << eps
+            << ": certified with an augmenting path of length <= " << lmax;
+      };
+      {
+        GreedyMatchingOracle oracle;
+        const BoostResult r = boost_matching(g, oracle, cfg);
+        audit("boost greedy", r.matching, r.outcome.certified);
+      }
+      {
+        RandomGreedyMatchingOracle oracle(i + 1);
+        const BoostResult r = boost_matching(g, oracle, cfg);
+        audit("boost random-greedy", r.matching, r.outcome.certified);
+      }
+      {
+        MatrixWeakOracle oracle = MatrixWeakOracle::from_graph(g);
+        WeakSimConfig wcfg;
+        wcfg.core = cfg;
+        const WeakBoostResult r = static_weak_matching(g, oracle, wcfg);
+        audit("static_weak", r.matching, r.outcome.certified);
+      }
+    }
+  }
+  EXPECT_GT(certified, 0);
+}
 
 TEST(CertificateCrossCheck, StreamingCertificateAlsoVerified) {
   Rng rng(11);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "core/framework.hpp"
 #include "core/phase.hpp"
@@ -150,6 +152,35 @@ TEST(PhaseEngine, RejectsOutOfRangeEps) {
   cfg.eps = std::nan("");
   GreedyMatchingOracle oracle;
   EXPECT_THROW((void)boost_matching(g, oracle, cfg), std::invalid_argument);
+}
+
+TEST(PhaseEngine, RejectsEpsTooSmallForAnIntLabelBound) {
+  // Below eps ~1.4e-9, ceil(3/eps) does not fit an int. The cast used to
+  // wrap (ell_max() was 1 on x86), and boost_matching certified matchings
+  // below mu / (1 + eps), e.g. |M| = 46 < mu = 49 on these chains.
+  const Graph g = gen_adversarial_chains(7, 6);
+  for (const double eps : {1e-12, 1e-10, 1.3e-9}) {
+    CoreConfig cfg;
+    cfg.eps = eps;
+    EXPECT_THROW((void)cfg.ell_max(), std::invalid_argument) << "eps=" << eps;
+    InertDriver driver;
+    Matching m(g.num_vertices());
+    EXPECT_THROW((void)PhaseEngine(g, cfg).run(m, driver), std::invalid_argument)
+        << "eps=" << eps;
+    GreedyMatchingOracle oracle;
+    EXPECT_THROW((void)boost_matching(g, oracle, cfg), std::invalid_argument)
+        << "eps=" << eps;
+  }
+  // The smallest eps whose l_max + 1 fits is still accepted, and the paper's
+  // schedules, which pass INT64_MAX at its finest scale, saturate.
+  CoreConfig cfg;
+  cfg.eps = 1.4e-9;
+  EXPECT_EQ(cfg.ell_max(), 2142857143);
+  const double h = cfg.last_scale();
+  EXPECT_EQ(cfg.scheduled_pass_bundles(h), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(cfg.scheduled_phases(h), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(cfg.pass_bundle_cap(h), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(cfg.phase_cap(h), cfg.max_phases_per_scale);
 }
 
 TEST(PhaseEngine, OutcomeAccountingConsistent) {

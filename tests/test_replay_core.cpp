@@ -359,6 +359,15 @@ TEST(ReplayCoreConfig, InvalidKnobsAreRejectedAtConstruction) {
     cfg.eps = -0.25;
     EXPECT_THROW(DynamicMatcher(8, cfg), std::invalid_argument);
   }
+  // Rebuilds run at eps/2, so their l_max + 1 = ceil(6/eps) + 1 must fit an
+  // int: eps = 2e-9 passes the core bound but not the rebuild's.
+  for (const double eps : {1e-12, 2e-9}) {
+    DynamicMatcherConfig cfg;
+    cfg.eps = eps;
+    EXPECT_THROW(DynamicMatcher(8, cfg), std::invalid_argument) << "eps=" << eps;
+    EXPECT_THROW(DynamicMatcher(8, oracle, cfg), std::invalid_argument)
+        << "eps=" << eps;
+  }
 }
 
 TEST(ReplayCoreConfig, MoreShardsThanVerticesIsLegalAndBitIdentical) {

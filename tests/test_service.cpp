@@ -185,6 +185,11 @@ TEST(ServiceConfigValidation, InheritedCoreKnobsGoThroughSharedPath) {
   }
   {
     ServiceConfig cfg;
+    cfg.eps = 1e-12;  // the rebuild's l_max + 1 would not fit an int
+    EXPECT_THROW(MatchingService(8, cfg), std::invalid_argument);
+  }
+  {
+    ServiceConfig cfg;
     cfg.shards = 0;
     EXPECT_THROW(MatchingService(8, cfg), std::invalid_argument);
   }
