@@ -9,7 +9,12 @@ namespace bmf {
 
 StructureForest::StructureForest(const Graph& g, const Matching& m,
                                  const CoreConfig& cfg)
-    : g_(g), m_(m), cfg_(cfg), lmax_(cfg.ell_max()) {
+    : g_(g),
+      m_(m),
+      cfg_(cfg),
+      lmax_(cfg.ell_max()),
+      buckets_(static_cast<int>(
+          std::min<std::int64_t>(std::int64_t{lmax_} + 2, kLabelBuckets))) {
   BMF_REQUIRE(m.num_vertices() == g.num_vertices(),
               "StructureForest: matching/graph size mismatch");
 }
@@ -48,6 +53,7 @@ void StructureForest::init_phase() {
     vert_struct_[static_cast<std::size_t>(v)] = sid;
     note_outer(v);
   }
+  inner_count_.assign(structures_.size() * static_cast<std::size_t>(buckets_), 0);
 }
 
 void StructureForest::begin_pass_bundle(std::int64_t hold_limit) {
@@ -78,6 +84,18 @@ void StructureForest::note_outer(Vertex x) {
   }
   clean_[xi] = 0;
   for (Vertex y : g_.neighbors(x)) clean_[static_cast<std::size_t>(y)] = 0;
+}
+
+void StructureForest::relabel_inner(StructureId s, Vertex v, int k) {
+  count_inner(s, v, -1);
+  lab_[static_cast<std::size_t>(v)] = k;
+  count_inner(s, v, +1);
+}
+
+bool StructureForest::has_inner_above(StructureId s, int l) const {
+  for (int b = std::min(l, buckets_ - 2) + 1; b < buckets_; ++b)
+    if (inner_count(s, b) != 0) return true;
+  return false;
 }
 
 void StructureForest::clear_outer_log() {
@@ -202,6 +220,7 @@ void StructureForest::overtake(Vertex u, Vertex v, int k) {
     a.members.push_back(t);
     a.size += 2;
     lab_[static_cast<std::size_t>(v)] = k;
+    count_inner(su, v, +1);
     a.working = bt;
     note_outer(t);
     mark_extended(su);
@@ -222,7 +241,7 @@ void StructureForest::overtake(Vertex u, Vertex v, int k) {
     nv.pe_u = u;
     nv.pe_v = v;
     arena_.node(bu).tree_children.push_back(bv);
-    lab_[static_cast<std::size_t>(v)] = k;
+    relabel_inner(su, v, k);
     a.working = tprime;
     mark_extended(su);
     ++totals_.overtake_same;
@@ -245,7 +264,7 @@ void StructureForest::overtake(Vertex u, Vertex v, int k) {
   nv.pe_u = u;
   nv.pe_v = v;
   arena_.node(bu).tree_children.push_back(bv);
-  lab_[static_cast<std::size_t>(v)] = k;
+  relabel_inner(su, v, k);  // move_subtree carried v's old label over
   if (working_moved) {
     // Step 5: the victim's working vertex travels with the subtree.
     a.working = b.working;
@@ -287,7 +306,12 @@ void StructureForest::move_subtree(BlossomId sub_root, StructureId from,
       vert_struct_[static_cast<std::size_t>(w)] = to;
       dst.members.push_back(w);
       ++moved;
-      if (outer) note_outer(w);
+      if (outer) {
+        note_outer(w);
+      } else {
+        count_inner(from, w, -1);
+        count_inner(to, w, +1);
+      }
     }
     for (BlossomId c : arena_.node(b).tree_children) queue.push_back(c);
   }
@@ -394,21 +418,25 @@ void StructureForest::contract(Vertex u, Vertex v) {
     a.root = nb_id;
   }
   // Retire the tree fields of the absorbed cycle members; the inner ones
-  // (trivial) are outer from now on.
+  // (trivial) are outer from now on. Matched arcs inside E_B drop to label 0
+  // (Section 4.5.2): those inside a child blossom already did when it formed,
+  // so only the cycle's matched edges, each an inner member x and its mate
+  // (the base of x's cycle child), are new.
   for (BlossomId cb : bn.cycle) {
     BlossomNode& cn = arena_.node(cb);
-    if (!cn.outer) note_outer(cn.vert);
+    if (!cn.outer) {
+      const Vertex x = cn.vert;
+      const Vertex mx = m_.mate(x);
+      BMF_ASSERT(arena_.omega(mx) == nb_id);
+      count_inner(su, x, -1);
+      lab_[static_cast<std::size_t>(x)] = 0;
+      lab_[static_cast<std::size_t>(mx)] = 0;
+      note_outer(x);
+    }
     cn.tree_parent = kNoBlossom;
     cn.tree_children.clear();
     cn.pe_u = cn.pe_v = kNoVertex;
   }
-
-  // Matched arcs inside E_B drop to label 0 (Section 4.5.2).
-  arena_.for_each_vertex(nb_id, [&](Vertex w) {
-    const Vertex mw = m_.mate(w);
-    if (mw != kNoVertex && arena_.omega(mw) == nb_id)
-      lab_[static_cast<std::size_t>(w)] = 0;
-  });
 
   a.working = nb_id;
   mark_extended(su);
@@ -557,6 +585,16 @@ void StructureForest::check_invariants() const {
     BMF_ASSERT(count == s.size);
     BMF_ASSERT(static_cast<std::int64_t>(s.members.size()) == s.size);
 
+    // The inner-label counts match a recount of the members.
+    std::vector<std::int32_t> inner(static_cast<std::size_t>(buckets_), 0);
+    for (Vertex w : s.members)
+      if (is_inner(w))
+        ++inner[static_cast<std::size_t>(
+            std::min(lab_[static_cast<std::size_t>(w)], buckets_ - 1))];
+    for (int b = 0; b < buckets_; ++b)
+      BMF_ASSERT_MSG(inner_count(sid, b) == inner[static_cast<std::size_t>(b)],
+                     "inner-label count differs from a recount");
+
     if (s.working != kNoBlossom) {
       const BlossomNode& wn = arena_.node(s.working);
       BMF_ASSERT(wn.outer && wn.structure == sid && wn.parent == kNoBlossom);
@@ -574,6 +612,11 @@ void StructureForest::check_invariants() const {
   for (Vertex v = 0; v < n; ++v) {
     const int l = lab_[static_cast<std::size_t>(v)];
     BMF_ASSERT(l >= 0 && l <= lmax_ + 1);
+    // Contract resets only the cycle's matched edges, so every matched arc
+    // inside a root blossom must have reached 0 that way.
+    const Vertex mv = m_.mate(v);
+    if (mv != kNoVertex && arena_.omega(mv) == arena_.omega(v))
+      BMF_ASSERT_MSG(l == 0, "matched arc inside a blossom keeps its label");
     if (vert_struct_[static_cast<std::size_t>(v)] != kNoStructure &&
         !is_removed(v)) {
       const StructureId sid = vert_struct_[static_cast<std::size_t>(v)];

@@ -11,11 +11,11 @@
 /// phase engine after the phase ends (Algorithm 1 line 6). The matching is
 /// read-only during a phase.
 ///
-/// Two pieces of per-phase state let the drivers' sweeps skip what has not
-/// changed since they last looked. Both are kept by one private hook,
-/// `note_outer(x)`, which runs wherever a vertex becomes outer (a root at
-/// `init_phase`, Overtake case 1's new outer vertex, an inner cycle member a
-/// contraction absorbs) or moves to another structure while outer (Overtake
+/// Three pieces of per-phase state let the drivers' sweeps skip what has not
+/// changed since they last looked. The first two are kept by one private
+/// hook, `note_outer(x)`, which runs wherever a vertex becomes outer (a root
+/// at `init_phase`, Overtake case 1's new outer vertex, an inner cycle member
+/// a contraction absorbs) or moves to another structure while outer (Overtake
 /// case 2.2):
 ///  * the outer log: every such vertex since the log was last cleared. An
 ///    inter-structure outer/outer arc (an H' arc, Definition 5.4) can only
@@ -25,7 +25,14 @@
 ///  * contraction-clean bits: a vertex whose full neighbour scan found no
 ///    contractible arc keeps its bit until `note_outer` runs on it or on a
 ///    neighbour, the only events that can give it one.
+/// The third is kept wherever an inner member joins, is relabelled, moves or
+/// is absorbed (Overtake cases 1, 2.1 and 2.2, `move_subtree`, Contract):
+///  * inner-label counts: for each structure, how many of its inner members
+///    carry each label. An in-structure overtake at stage s needs an inner
+///    member with label > s + 1 (P3), so a structure whose counts show none
+///    has no such arc and its sweep can be skipped.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -150,6 +157,19 @@ class StructureForest {
   /// Records such a scan of a working-blossom vertex.
   void mark_contraction_clean(Vertex v) { clean_[static_cast<std::size_t>(v)] = 1; }
 
+  /// Inner members of live structure s with label l. Labels of
+  /// kLabelBuckets - 1 and above share the last count, so that an l_max of
+  /// up to 2^31 costs at most kLabelBuckets counts per structure.
+  [[nodiscard]] std::int32_t inner_count(StructureId s, int l) const {
+    return inner_count_[count_index(s, l)];
+  }
+  /// True if some inner member of live structure s may have a label above l:
+  /// exact for l < kLabelBuckets - 1 (so for every label when
+  /// l_max + 2 <= kLabelBuckets), and true for larger l whenever the shared
+  /// last count is non-zero.
+  [[nodiscard]] bool has_inner_above(StructureId s, int l) const;
+  static constexpr int kLabelBuckets = 64;
+
   // ---- structures --------------------------------------------------------
 
   [[nodiscard]] StructureId num_structures() const {
@@ -188,6 +208,16 @@ class StructureForest {
   /// x became outer or moved while outer: log it, and clear the clean bits of
   /// x and its neighbours.
   void note_outer(Vertex x);
+  [[nodiscard]] std::size_t count_index(StructureId s, int l) const {
+    return static_cast<std::size_t>(s) * static_cast<std::size_t>(buckets_) +
+           static_cast<std::size_t>(std::min(l, buckets_ - 1));
+  }
+  /// Adds delta to the count of inner member v's current label in s.
+  void count_inner(StructureId s, Vertex v, int delta) {
+    inner_count_[count_index(s, lab_[static_cast<std::size_t>(v)])] += delta;
+  }
+  /// Sets inner member v of s to label k (Overtake cases 2.1 and 2.2).
+  void relabel_inner(StructureId s, Vertex v, int k);
   void detach_from_parent(BlossomId b);
   void move_subtree(BlossomId sub_root, StructureId from, StructureId to);
   /// G-vertex path from u back to the structure's free root (u first).
@@ -197,6 +227,7 @@ class StructureForest {
   const Matching& m_;
   const CoreConfig& cfg_;
   int lmax_;
+  int buckets_;  ///< min(l_max + 2, kLabelBuckets) counts per structure
 
   BlossomArena arena_;
   std::vector<StructureInfo> structures_;
@@ -207,6 +238,8 @@ class StructureForest {
   std::vector<Vertex> outer_log_;
   std::vector<std::uint8_t> logged_;  ///< v is in outer_log_
   std::vector<std::uint8_t> clean_;   ///< contraction-clean bits
+  /// Inner-label counts, buckets_ per structure in structure-id order.
+  std::vector<std::int32_t> inner_count_;
 
   OpCounts totals_;
   std::int64_t bundle_ops_ = 0;

@@ -35,6 +35,7 @@ void WeakOracleDriver::begin_phase(StructureForest& forest) {
   const Matching& m = forest.matching();
   for (Vertex v = 0; v < g_.num_vertices(); ++v)
     if (m.mate(v) != kNoVertex) unvisited_pool_.push_back(v);
+  pool_visits_ = forest.totals().overtake_unvisited;
 }
 
 void WeakOracleDriver::in_structure_sweep(StructureForest& forest, int stage) {
@@ -45,6 +46,9 @@ void WeakOracleDriver::in_structure_sweep(StructureForest& forest, int stage) {
     if (si.removed || si.on_hold || si.extended || si.working == kNoBlossom)
       continue;
     if (forest.outer_level(si.working) != stage) continue;
+    // (P3) needs an inner member x of this structure with label(x) > stage + 1;
+    // without one no (w, x) can overtake, so the scan is skipped.
+    if (!forest.has_inner_above(sid, stage + 1)) continue;
     bool done = false;
     scan_.clear();
     forest.arena().collect_vertices(si.working, scan_);
@@ -83,7 +87,8 @@ void WeakOracleDriver::run_overtake_stage(StructureForest& forest, int stage) {
     }
     if (!any_eligible) break;
 
-    std::vector<Vertex> s_plus, s_minus;
+    s_plus_.clear();
+    s_minus_.clear();
     for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
       const StructureInfo& si = forest.structure(sid);
       if (si.removed) continue;
@@ -92,19 +97,23 @@ void WeakOracleDriver::run_overtake_stage(StructureForest& forest, int stage) {
       if (!si.on_hold && !si.extended && si.working != kNoBlossom &&
           forest.outer_level(si.working) == stage && forest.is_outer(sample) &&
           forest.omega(sample) == si.working) {
-        s_plus.push_back(sample);
+        s_plus_.push_back(sample);
       } else if (forest.is_inner(sample) && forest.label(sample) > stage + 1) {
-        s_minus.push_back(sample);
+        s_minus_.push_back(sample);
       }
     }
-    // Unvisited matched vertices join as singleton regions.
-    std::erase_if(unvisited_pool_,
-                  [&](Vertex v) { return !forest.is_unvisited(v); });
+    // Unvisited matched vertices join as singleton regions. Only Overtake
+    // case 1 visits a vertex, so the pool is compacted only after one ran.
+    if (forest.totals().overtake_unvisited != pool_visits_) {
+      std::erase_if(unvisited_pool_,
+                    [&](Vertex v) { return !forest.is_unvisited(v); });
+      pool_visits_ = forest.totals().overtake_unvisited;
+    }
     for (Vertex v : unvisited_pool_)
-      if (forest.label(v) > stage + 1) s_minus.push_back(v);
+      if (forest.label(v) > stage + 1) s_minus_.push_back(v);
 
-    if (s_plus.empty() || s_minus.empty()) break;
-    const WeakQueryResult res = oracle_.query_cover(s_plus, s_minus, cfg_.delta);
+    if (s_plus_.empty() || s_minus_.empty()) break;
+    const WeakQueryResult res = oracle_.query_cover(s_plus_, s_minus_, cfg_.delta);
     ++sampled_iterations_;
     ++iterations;
     const bool usable = cfg_.strict || !res.bottom;
@@ -149,26 +158,35 @@ void WeakOracleDriver::contract_and_augment(StructureForest& forest) {
   fallback_.run_local_contractions(forest);
 
   // Step 2: sampled Augment iterations — one uniformly random *outer* vertex
-  // per structure, A_weak on G[S] (Figure 4).
+  // per structure, A_weak on G[S] (Figure 4). Only augments run in this loop,
+  // and an augment only retires structures: every live structure keeps its
+  // outer members, in member order, so each list is filtered once up front.
+  outer_members_.clear();
+  outer_begin_.clear();
+  for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
+    outer_begin_.push_back(outer_members_.size());
+    const StructureInfo& si = forest.structure(sid);
+    if (si.removed) continue;
+    for (Vertex w : si.members)
+      if (forest.is_outer(w)) outer_members_.push_back(w);
+    BMF_ASSERT(outer_members_.size() > outer_begin_.back());  // the root is outer
+  }
+  outer_begin_.push_back(outer_members_.size());
+
   int stall = 0;
   std::int64_t iterations = 0;
-  std::vector<Vertex> outer_members;
   while (stall < cfg_.sample_patience && iterations < cfg_.max_stage_iterations) {
-    std::vector<Vertex> sample_set;
+    sample_set_.clear();
     std::int64_t live = 0;
     for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
-      const StructureInfo& si = forest.structure(sid);
-      if (si.removed) continue;
+      if (forest.structure(sid).removed) continue;
       ++live;
-      outer_members.clear();
-      for (Vertex w : si.members)
-        if (forest.is_outer(w)) outer_members.push_back(w);
-      BMF_ASSERT(!outer_members.empty());  // the root is always outer
-      sample_set.push_back(outer_members[static_cast<std::size_t>(
-          rng_.next_below(outer_members.size()))]);
+      const std::size_t begin = outer_begin_[static_cast<std::size_t>(sid)];
+      const std::size_t count = outer_begin_[static_cast<std::size_t>(sid) + 1] - begin;
+      sample_set_.push_back(outer_members_[begin + rng_.next_below(count)]);
     }
     if (live < 2) break;
-    const WeakQueryResult res = oracle_.query(sample_set, cfg_.delta);
+    const WeakQueryResult res = oracle_.query(sample_set_, cfg_.delta);
     ++sampled_iterations_;
     ++iterations;
     const bool usable = cfg_.strict || !res.bottom;

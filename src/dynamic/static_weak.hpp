@@ -8,7 +8,9 @@
 /// A_weak on the sampled set (on the double cover B for Overtake stages, on G
 /// for Augment), and performs the corresponding operation on every returned
 /// matching edge (Sections 6.5-6.6). In-structure s-feasible arcs are
-/// exhausted separately before each stage (Invariant 6.10). Unvisited matched
+/// exhausted separately before each stage (Invariant 6.10); that sweep skips
+/// a structure whose inner-label counts show no inner member above the
+/// stage's label bound, since it has no such arc. Unvisited matched
 /// vertices participate as singleton regions (their minus copies are always
 /// eligible) so that structures can grow by Overtake case 1; this completes
 /// the paper's per-structure sampling in the natural way and preserves the
@@ -77,9 +79,20 @@ class WeakOracleDriver final : public PassBundleDriver {
   FrameworkDriver fallback_;
   std::int64_t sampled_iterations_ = 0;
   /// Unvisited matched vertices still eligible as minus copies (rebuilt per
-  /// phase, filtered lazily per iteration).
+  /// phase, compacted lazily once an Overtake case 1 has visited one).
   std::vector<Vertex> unvisited_pool_;
+  /// The forest's Overtake case 1 count when the pool was last compacted.
+  std::int64_t pool_visits_ = 0;
   std::vector<Vertex> scan_;  ///< in-structure sweep's vertex scan
+  /// A sampled stage's S+ and S-, reused across iterations.
+  std::vector<Vertex> s_plus_, s_minus_;
+  /// The sampled augment's outer members: structure s owns
+  /// outer_members_[outer_begin_[s] .. outer_begin_[s + 1]). Filtered once
+  /// per contract_and_augment: its loop only augments, and an augment only
+  /// retires structures, so a live structure's list stays exact.
+  std::vector<Vertex> outer_members_;
+  std::vector<std::size_t> outer_begin_;
+  std::vector<Vertex> sample_set_;  ///< the sampled augment's S
 };
 
 struct WeakBoostResult {

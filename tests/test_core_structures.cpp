@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/framework.hpp"
 #include "core/structures.hpp"
 #include "matching/matching.hpp"
@@ -513,6 +515,189 @@ TEST(StructureForest, NextEligibleLevelSkipsEmptyLevels) {
   EXPECT_EQ(f.next_eligible_level(2), none);
   f.begin_pass_bundle(1);  // every structure on hold
   EXPECT_EQ(f.next_eligible_level(0), none);
+}
+
+// ---------------------------------------------------------------------------
+// Inner-label counts: one test per place an inner member changes.
+// ---------------------------------------------------------------------------
+
+/// Expects structure s's inner-label counts to be `want` (label -> count) and
+/// 0 at every other label, then has check_invariants recount them.
+void expect_inner_counts(const StructureForest& f, const CoreConfig& cfg,
+                         StructureId s, const std::map<int, int>& want) {
+  for (int l = 0; l <= cfg.ell_max() + 1; ++l) {
+    const auto it = want.find(l);
+    EXPECT_EQ(f.inner_count(s, l), it == want.end() ? 0 : it->second)
+        << "structure " << s << " label " << l;
+  }
+  f.check_invariants();
+}
+
+TEST(StructureForest, InnerCountsFollowCase1Joins) {
+  // 0 - 1 = 2 - 3 = 4: 1 joins at label 1, then 3 at label 2.
+  const Graph g =
+      make_graph(5, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  Matching m(5);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  const StructureId s = f.structure_of(0);
+  expect_inner_counts(f, cfg, s, {});
+  EXPECT_FALSE(f.has_inner_above(s, 0));
+
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  expect_inner_counts(f, cfg, s, {{1, 1}});
+  EXPECT_TRUE(f.has_inner_above(s, 0));
+  EXPECT_FALSE(f.has_inner_above(s, 1));
+
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  expect_inner_counts(f, cfg, s, {{1, 1}, {2, 1}});
+  EXPECT_TRUE(f.has_inner_above(s, 1));
+  EXPECT_FALSE(f.has_inner_above(s, 2));
+}
+
+TEST(StructureForest, InnerCountsFollowCase21Relabel) {
+  // The chain and branch of OvertakeCase21ReparentsWithinStructure: inner 5
+  // falls from label 3 to 2, so no inner member is left above 2.
+  const Graph g = make_graph(
+      9, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
+                           {0, 7}, {7, 8}, {8, 5}});
+  Matching m(9);
+  m.add(1, 2);
+  m.add(3, 4);
+  m.add(5, 6);
+  m.add(7, 8);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  const StructureId s = f.structure_of(0);
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  f.begin_pass_bundle(1000);
+  f.overtake(4, 5, 3);
+  for (int i = 0; i < 3; ++i) {
+    f.begin_pass_bundle(1000);
+    f.backtrack_stuck();
+  }
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 7, 1);
+  expect_inner_counts(f, cfg, s, {{1, 2}, {2, 1}, {3, 1}});
+  EXPECT_TRUE(f.has_inner_above(s, 2));
+
+  f.begin_pass_bundle(1000);
+  f.overtake(8, 5, 2);  // case 2.1
+  ASSERT_EQ(f.totals().overtake_same, 1);
+  expect_inner_counts(f, cfg, s, {{1, 2}, {2, 2}});
+  EXPECT_FALSE(f.has_inner_above(s, 2));
+}
+
+TEST(StructureForest, StealMovesInnerCountsBetweenStructures) {
+  // S_10: 10 - 5 = 6 - 1 = 2 - 3 = 4 with inner 5, 1, 3 at labels 1, 2, 3.
+  // S_0 steals the subtree at 1 through 0 - 1: inner 1 moves and falls to
+  // label 1, inner 3 moves with its label 3, inner 5 stays.
+  const Graph g = make_graph(
+      11, std::vector<Edge>{{10, 5}, {5, 6}, {6, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 1}});
+  Matching m(11);
+  m.add(5, 6);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  const StructureId s_alpha = f.structure_of(0);
+  const StructureId s_beta = f.structure_of(10);
+  f.begin_pass_bundle(1000);
+  f.overtake(10, 5, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(6, 1, 2);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 3);
+  expect_inner_counts(f, cfg, s_beta, {{1, 1}, {2, 1}, {3, 1}});
+  expect_inner_counts(f, cfg, s_alpha, {});
+
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);  // case 2.2
+  ASSERT_EQ(f.totals().overtake_steal, 1);
+  expect_inner_counts(f, cfg, s_alpha, {{1, 1}, {3, 1}});
+  expect_inner_counts(f, cfg, s_beta, {{1, 1}});
+  EXPECT_TRUE(f.has_inner_above(s_alpha, 2));
+  EXPECT_FALSE(f.has_inner_above(s_beta, 1));
+}
+
+TEST(StructureForest, ContractionDropsTheInnerMembersItAbsorbs) {
+  // The 5-cycle 0 - 1 = 2 - 3 = 4 - 0 with the branch 2 - 5 = 6 and the arc
+  // 6 - 4. Contracting the cycle absorbs inner 1 and 3 and leaves the
+  // hanging inner 5; a second contraction, (6, 4), then nests the first
+  // blossom and absorbs 5. Each reset zeroes only its cycle's matched edges,
+  // and check_invariants confirms every matched arc inside a blossom is 0.
+  const Graph g = make_graph(
+      7, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {2, 5}, {5, 6},
+                           {6, 4}});
+  Matching m(7);
+  m.add(1, 2);
+  m.add(3, 4);
+  m.add(5, 6);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  const StructureId s = f.structure_of(0);
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 5, 2);
+  f.begin_pass_bundle(1000);
+  f.backtrack_stuck();  // working vertex back to Omega(2)
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  expect_inner_counts(f, cfg, s, {{1, 1}, {2, 2}});
+
+  f.begin_pass_bundle(1000);
+  ASSERT_TRUE(f.can_contract(4, 0));
+  f.contract(4, 0);
+  expect_inner_counts(f, cfg, s, {{2, 1}});
+  for (const Vertex v : {1, 2, 3, 4}) EXPECT_EQ(f.label(v), 0) << v;
+  EXPECT_EQ(f.label(5), 2);
+  EXPECT_EQ(f.label(6), cfg.ell_max() + 1);
+
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 5, 1);  // case 2.1 from the blossom at level 0
+  expect_inner_counts(f, cfg, s, {{1, 1}});
+  f.begin_pass_bundle(1000);
+  ASSERT_TRUE(f.can_contract(6, 4));
+  f.contract(6, 4);
+  expect_inner_counts(f, cfg, s, {});
+  for (Vertex v = 1; v <= 6; ++v) EXPECT_EQ(f.label(v), 0) << v;
+  EXPECT_EQ(f.arena().vertex_count(f.omega(0)), 7);
+}
+
+TEST(StructureForest, LabelsPastTheLastBucketShareIt) {
+  // eps 0.02 gives l_max 150: labels from kLabelBuckets - 1 = 63 up share
+  // one count, so has_inner_above stays exact below it and turns
+  // conservative above it.
+  const Graph g = make_graph(5, std::vector<Edge>{{0, 1}, {1, 2}, {4, 3}});
+  Matching m(5);
+  m.add(1, 2);
+  const CoreConfig cfg = checked_config(0.02);
+  ASSERT_EQ(cfg.ell_max(), 150);
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  const StructureId s0 = f.structure_of(0);
+  const StructureId s4 = f.structure_of(4);
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 100);
+  f.check_invariants();
+  EXPECT_EQ(f.inner_count(s0, 100), 1);
+  EXPECT_EQ(f.inner_count(s0, StructureForest::kLabelBuckets - 1), 1);
+  EXPECT_EQ(f.inner_count(s0, StructureForest::kLabelBuckets - 2), 0);
+  EXPECT_TRUE(f.has_inner_above(s0, StructureForest::kLabelBuckets - 2));
+  EXPECT_TRUE(f.has_inner_above(s0, 120));  // conservative: 100 < 120
+  EXPECT_FALSE(f.has_inner_above(s4, 0));
 }
 
 }  // namespace

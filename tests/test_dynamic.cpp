@@ -4,6 +4,7 @@
 #include <limits>
 #include <vector>
 
+#include "certificate_util.hpp"
 #include "dynamic/bipartite_cover.hpp"
 #include "dynamic/dynamic_matcher.hpp"
 #include "dynamic/static_weak.hpp"
@@ -230,6 +231,42 @@ TEST_P(DynamicMatcherTest, MixedUpdatesCheckedPeriodically) {
 INSTANTIATE_TEST_SUITE_P(Sweep, DynamicMatcherTest,
                          ::testing::Combine(::testing::Values(1u, 2u, 3u),
                                             ::testing::Values(0.5, 0.25)));
+
+TEST(DynamicMatcher, CertifiedRebuildsLeaveNoShortAugmentingPath) {
+  // A rebuild that ends with the Theorem B.4 certificate promises that the
+  // graph it rebuilt has no augmenting path of length <= l_max at the
+  // rebuild's eps, which is eps / 2. Rebuilds run at the end of apply, so
+  // after every apply that certified one, matching() and snapshot() are
+  // exactly that rebuild's output and graph.
+  int certified = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const double eps : {1.0, 0.5}) {
+      const Vertex n = 12 + 2 * static_cast<Vertex>(seed);  // 14 .. 20
+      DynamicMatcherConfig cfg;
+      cfg.eps = eps;
+      cfg.seed = seed;
+      DynamicMatcher dm(n, cfg);
+      CoreConfig rebuild_core;
+      rebuild_core.eps = eps / 2.0;
+      const int lmax = rebuild_core.ell_max();
+      Rng rng(seed);
+      std::int64_t step = 0;
+      for (const EdgeUpdate& up : dyn_random_updates(n, 120, 0.7, rng)) {
+        ++step;
+        const std::int64_t before = dm.rebuild_stats().certified;
+        dm.apply(up);
+        if (dm.rebuild_stats().certified == before) continue;
+        ++certified;
+        const Graph snapshot = dm.snapshot();
+        ASSERT_TRUE(dm.matching().is_valid_in(snapshot));
+        EXPECT_FALSE(testcert::has_short_augmenting_path(snapshot, dm.matching(), lmax))
+            << "seed=" << seed << " eps=" << eps << " update " << step
+            << ": certified with an augmenting path of length <= " << lmax;
+      }
+    }
+  }
+  EXPECT_GT(certified, 0);
+}
 
 TEST(DynamicMatcher, DeleteMatchedEdgesKeepsMaximalFloor) {
   const Vertex n = 30;

@@ -238,6 +238,36 @@ TEST(Framework, ChangeTrackingInvariantsHoldThroughContractionsAndSteals) {
   EXPECT_GT(steals, 0);
 }
 
+TEST(Framework, WeakDriverKeepsInnerLabelCountsThroughStealsAndContractions) {
+  // The weak driver alone, with check_invariants: after every pass-bundle
+  // StructureForest::check_invariants recounts each live structure's inner
+  // members per label against the counts the in-structure sweep reads, and
+  // checks that every matched arc inside a blossom has label 0. At eps 0.04
+  // (l_max 75) there are more labels than counts per structure.
+  std::int64_t contracts = 0, steals = 0, relabels = 0;
+  for (const std::uint64_t seed : {1, 3, 6}) {
+    const Graph g = cycles_and_chains(seed);
+    for (const double eps : {1.0, 0.5, 0.04}) {
+      MatrixWeakOracle oracle = MatrixWeakOracle::from_graph(g);
+      WeakSimConfig wcfg;
+      wcfg.core.eps = eps;
+      wcfg.core.seed = seed;
+      wcfg.core.check_invariants = true;
+      const WeakBoostResult r = static_weak_matching(g, oracle, wcfg);
+      ASSERT_TRUE(r.matching.is_valid_in(g));
+      EXPECT_GE(static_cast<double>(r.matching.size()) * (1.0 + eps),
+                static_cast<double>(maximum_matching_size(g)))
+          << "seed=" << seed << " eps=" << eps;
+      contracts += r.outcome.ops.contracts;
+      steals += r.outcome.ops.overtake_steal;
+      relabels += r.outcome.ops.overtake_same;
+    }
+  }
+  EXPECT_GT(contracts, 0);
+  EXPECT_GT(steals, 0);
+  EXPECT_GT(relabels, 0);
+}
+
 TEST(Framework, ExactOracleWorksToo) {
   Rng rng(17);
   const Graph g = gen_random_graph(80, 200, rng);

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <string>
 
+#include "certificate_util.hpp"
 #include "core/framework.hpp"
 #include "dynamic/partial_dynamic.hpp"
 #include "dynamic/static_weak.hpp"
@@ -211,40 +212,7 @@ TEST_P(CertificateCrossCheck, CertifiedRunsHaveNoShortAugmentingPath) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CertificateCrossCheck,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-/// True if g has an M-augmenting path of at most max_len edges. Brute force
-/// over every simple alternating path from every free vertex, so paths
-/// through odd cycles (blossoms) count too; exponential, for small n only.
-bool has_short_augmenting_path(const Graph& g, const Matching& m, int max_len) {
-  std::vector<std::uint8_t> on_path(static_cast<std::size_t>(g.num_vertices()), 0);
-  const auto mark = [&](Vertex v, std::uint8_t value) {
-    on_path[static_cast<std::size_t>(v)] = value;
-  };
-  // The path has len edges and ends at v, entered by a matched edge (or v is
-  // the free start): extend it by an unmatched edge, then the matched one.
-  const auto extend = [&](const auto& self, Vertex v, int len) -> bool {
-    for (const Vertex x : g.neighbors(v)) {
-      if (on_path[static_cast<std::size_t>(x)] != 0) continue;
-      if (m.is_free(x)) return true;  // augmenting, len + 1 <= max_len edges
-      const Vertex y = m.mate(x);
-      if (len + 3 > max_len || on_path[static_cast<std::size_t>(y)] != 0) continue;
-      mark(x, 1);
-      mark(y, 1);
-      const bool found = self(self, y, len + 2);
-      mark(x, 0);
-      mark(y, 0);
-      if (found) return true;
-    }
-    return false;
-  };
-  for (Vertex s = 0; s < g.num_vertices(); ++s) {
-    if (!m.is_free(s) || max_len < 1) continue;
-    mark(s, 1);
-    const bool found = extend(extend, s, 0);
-    mark(s, 0);
-    if (found) return true;
-  }
-  return false;
-}
+using testcert::has_short_augmenting_path;
 
 TEST(CertificateCrossCheck, BruteForceCheckerAgreesWithBerge) {
   // With no length bound the checker finds a path iff M is not maximum.
