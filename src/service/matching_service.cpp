@@ -266,8 +266,8 @@ void MatchingService::writer_loop() {
       if (stalled) writer_stalled_.store(false, std::memory_order_release);
     }
 
-    // Publication order matters and the lint holds us to it
-    // (tools/determinism_lint.py, rule `publication-order`): the snapshot
+    // Publication order matters and bmf-analyzer holds us to it
+    // (tools/analyzer, rule `publication-order`): the snapshot
     // pointer is release-stored before the epoch counter, so a reader that
     // acquires the new epoch and re-fetches is guaranteed a snapshot at least
     // that new — the SSP refresh rule's "staleness clamps to 0" proof in

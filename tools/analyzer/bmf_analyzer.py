@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""bmf-analyzer CLI — whole-tree determinism/concurrency analysis.
+"""bmf-analyzer CLI — the repo's static determinism/concurrency analysis.
 
-Runs the four program-level rules (see package docstring / the rule
-modules) over a set of C++ files and prints findings in the familiar
+Runs every rule in ``source_model.RULES`` (see package docstring / the
+rule modules) over a set of C++ files and prints findings in the familiar
 ``path:line: [rule] message`` shape.
 
 Usage:
@@ -14,11 +14,9 @@ Usage:
 Exit status 0 = clean, 1 = findings, 2 = usage/configuration error.
 
 The lock-order whitelist and the ledger field list live in
-``lock_order_manifest.json`` next to this script (``--manifest`` to
-override — the fixture suite points it at a fixture-local manifest).
-Suppression: ``// bmf-analyzer: allow(<rule>) -- <reason>`` on the
-flagged line or the line above; unknown rule names in suppressions are
-themselves rejected by the determinism lint's stale-suppression check.
+``lock_order_manifest.json`` next to this script. Suppression:
+``// bmf-analyzer: allow(<rule>) -- <reason>`` on the flagged line or the
+line above; the stale-suppression rule rejects an allow naming no rule.
 """
 
 from __future__ import annotations
@@ -33,20 +31,13 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import rules_atomics  # noqa: E402
 import rules_ledger  # noqa: E402
 import rules_locks  # noqa: E402
+import rules_source  # noqa: E402
 import rules_taint  # noqa: E402
 import source_model as sm  # noqa: E402
 
-
-def repo_root() -> str:
-    return os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-
-
-def default_manifest_path() -> str:
-    return os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "lock_order_manifest.json"
-    )
+MANIFEST_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "lock_order_manifest.json"
+)
 
 
 def analyze(
@@ -62,48 +53,38 @@ def analyze(
         print(f"bmf_analyzer: no such path: {e}", file=sys.stderr)
         sys.exit(2)
     files = [sm.parse_file(p) for p in file_paths]
+    if use_libclang != "no":
+        for sf in files:
+            sf.ast_unordered = sm.ast_unordered_lines(sf.path)
+        if use_libclang == "require" and any(
+            sf.ast_unordered is None for sf in files
+        ):
+            raise RuntimeError("libclang requested but not importable")
     findings: list[sm.Finding] = []
     if "unordered-order-taint" in rules:
-        findings.extend(
-            rules_taint.check(
-                files,
-                use_libclang=use_libclang,
-                canonical_methods=set(
-                    manifest.get("canonical_methods", ["merge"])
-                ),
-                taint_all=taint_all,
-            )
-        )
+        findings.extend(rules_taint.check(files, taint_all=taint_all))
     if "lock-order" in rules:
         findings.extend(rules_locks.check(files, manifest))
-    if "relaxed-audit" in rules or "publication-order" in rules:
-        atomics = rules_atomics.check(files)
-        findings.extend(
-            f
-            for f in atomics
-            if f.rule in rules
-        )
     if "single-writer-ledger" in rules:
         findings.extend(rules_ledger.check(files, manifest))
+    findings.extend(
+        f
+        for f in rules_atomics.check(files) + rules_source.check(files)
+        if f.rule in rules
+    )
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
-        description="bmf program-level determinism analyzer "
+        description="bmf static determinism/concurrency analyzer "
         "(see module docstring)"
     )
     parser.add_argument(
         "paths",
         nargs="*",
         help="files or directories to analyze (default: <repo>/src)",
-    )
-    parser.add_argument(
-        "--manifest",
-        default=default_manifest_path(),
-        help="lock-order/ledger manifest JSON "
-        "(default: tools/analyzer/lock_order_manifest.json)",
     )
     parser.add_argument(
         "--rules",
@@ -114,9 +95,9 @@ def main(argv: list[str]) -> int:
         "--use-libclang",
         choices=("auto", "no", "require"),
         default="auto",
-        help="confirm taint sources against the clang AST when the python "
-        "bindings are importable (default: auto; the structural frontend "
-        "is canonical)",
+        help="resolve range-fors over unordered containers against the clang "
+        "AST when the python bindings are importable (default: auto; the "
+        "structural frontend is canonical)",
     )
     parser.add_argument(
         "--taint-all",
@@ -124,14 +105,7 @@ def main(argv: list[str]) -> int:
         help="run the taint rule outside src/core|dynamic|graph too "
         "(nightly sweep over tests/)",
     )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print rule names and exit"
-    )
     args = parser.parse_args(argv)
-    if args.list_rules:
-        for rule in sm.RULES:
-            print(rule)
-        return 0
     rules = {r.strip() for r in args.rules.split(",") if r.strip()}
     unknown = rules - set(sm.RULES)
     if unknown:
@@ -141,12 +115,12 @@ def main(argv: list[str]) -> int:
         )
         return 2
     try:
-        with open(args.manifest, encoding="utf-8") as f:
+        with open(MANIFEST_PATH, encoding="utf-8") as f:
             manifest = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"bmf_analyzer: cannot read manifest: {e}", file=sys.stderr)
         return 2
-    paths = args.paths or [os.path.join(repo_root(), "src")]
+    paths = args.paths or [os.path.join(sm.REPO_ROOT, "src")]
     try:
         findings = analyze(
             paths, manifest, rules, args.use_libclang, args.taint_all

@@ -1,4 +1,5 @@
-// Lint fixture (known-bad): three unseeded entropy sources in one file.
+// Analyzer fixture (known-bad): raw-randomness. Three unseeded entropy
+// sources in one file.
 #include <cstdlib>
 #include <ctime>
 #include <random>

@@ -1,5 +1,6 @@
-// Lint fixture (known-bad): hash-iteration order flows straight into the
-// committed edge list. Fixtures are lint inputs, not build inputs.
+// Analyzer fixture (known-bad): unordered-iteration. Hash-iteration order
+// flows straight into the committed edge list. Fixtures are analyzer inputs,
+// not build inputs.
 #include <cstdint>
 #include <unordered_map>
 #include <utility>

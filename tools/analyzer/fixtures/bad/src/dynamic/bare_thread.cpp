@@ -1,5 +1,6 @@
-// Lint fixture (known-bad): raw std::thread in engine code — unjoined on an
-// exception path, invisible to the pool's nesting rules.
+// Analyzer fixture (known-bad): bare-thread. A raw std::thread in engine
+// code — unjoined on an exception path, invisible to the pool's nesting
+// rules.
 #include <thread>
 #include <vector>
 

@@ -5,13 +5,16 @@
 #include <cstdint>
 #include <functional>
 
+int gated_threads(std::int64_t work, std::int64_t min_work_per_thread,
+                  int threads);
 void parallel_for_threads(int threads, std::int64_t n,
                           const std::function<void(std::int64_t)>& fn);
 
 class ShardRouter {
  public:
   void route(std::int64_t ops, int threads) {
-    parallel_for_threads(threads, ops, [&](std::int64_t i) {
+    const int route_threads = gated_threads(ops, 1, threads);
+    parallel_for_threads(route_threads, ops, [&](std::int64_t i) {
       batch_bytes_ += 16;  // BAD: worker mutates the coordinator ledger
       charge_round(i);
     });

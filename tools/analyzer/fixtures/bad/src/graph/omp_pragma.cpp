@@ -1,7 +1,7 @@
-// Lint fixture (known-bad): an OpenMP pragma is a second scheduler next to
-// the pool — its thread count and reduction order are outside the
-// gated_threads discipline, so thread-count bit-identity is no longer
-// governed in one place.
+// Analyzer fixture (known-bad): raw-openmp. An OpenMP pragma is a second
+// scheduler next to the pool — its thread count and reduction order are
+// outside the gated_threads discipline, so thread-count bit-identity is no
+// longer governed in one place.
 #include <cstdint>
 #include <vector>
 

@@ -1,5 +1,6 @@
-// Lint fixture (known-bad): the fan-out takes the raw config thread count —
-// tiny inputs pay the pool round-trip, and the gate discipline is broken.
+// Analyzer fixture (known-bad): ungated-fanout. The fan-out takes the raw
+// config thread count — tiny inputs pay the pool round-trip, and the gate
+// discipline is broken.
 #include <cstdint>
 #include <vector>
 

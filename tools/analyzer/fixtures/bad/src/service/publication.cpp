@@ -1,5 +1,6 @@
-// Lint fixture (good twin): the documented publication sequence with its
-// proof markers — snapshot pointer release-stored before the epoch counter.
+// Analyzer fixture (known-bad): publication-order. Publishes the epoch
+// counter before the snapshot pointer and carries no proof markers — a
+// reader acquiring the new epoch could re-fetch the stale snapshot.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -13,10 +14,8 @@ struct Publisher {
   std::atomic<std::int64_t> published_epoch_{0};
 
   void publish(std::shared_ptr<const Snapshot> snap, std::int64_t epoch) {
-    // publication-order[1]
+    published_epoch_.store(epoch, std::memory_order_release);  // BAD: first
     latest_.store(std::move(snap), std::memory_order_release);
-    // publication-order[2]
-    published_epoch_.store(epoch, std::memory_order_release);
   }
 };
 

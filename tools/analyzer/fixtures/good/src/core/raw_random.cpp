@@ -1,5 +1,5 @@
-// Lint fixture (good twin): all randomness flows from the seeded Rng, split
-// serially before any parallel use.
+// Analyzer fixture (good twin): all randomness flows from the seeded Rng,
+// split serially before any parallel use.
 #include <cstdint>
 #include <vector>
 

@@ -1,5 +1,5 @@
-// Lint fixture (good twin): the unordered map is only a dedup index; its
-// keys are collected and sorted before anything reaches committed state.
+// Analyzer fixture (good twin): the unordered map is only a dedup index;
+// its keys are collected and sorted before anything reaches committed state.
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>

@@ -1,4 +1,4 @@
-// Lint fixture (good twin): the same reduction routed through the pool —
+// Analyzer fixture (good twin): the same reduction routed through the pool —
 // per-slot partials combined in index order, thread count through the
 // gated_threads size gate. Mentioning OpenMP in a comment (like this one)
 // must not trip the rule; only a real `#pragma omp` line is a finding.

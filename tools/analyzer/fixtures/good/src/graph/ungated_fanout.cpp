@@ -1,12 +1,19 @@
-// Lint fixture (good twin): exercises every gated form the lint resolves —
-// a direct gated_threads call, a variable assigned from it (across a line
-// break), a local helper that returns it, and the literal 1.
+// Analyzer fixture (good twin): exercises every gated form ungated-fanout
+// resolves — a direct gated_threads call, a variable assigned from it
+// (across a line break), a local helper that returns it, and the literal 1 —
+// plus a redeclaration of parallel_for_threads, which names the fan-out
+// without calling it.
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "util/thread_pool.hpp"
 
 namespace bmf {
+
+void parallel_for_threads(int threads, std::int64_t n,
+                          const std::function<void(std::int64_t)>& fn);
+
 namespace {
 
 constexpr std::int64_t kMinWork = 64;

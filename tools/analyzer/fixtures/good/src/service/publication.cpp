@@ -1,6 +1,6 @@
-// Lint fixture (known-bad): publishes the epoch counter before the snapshot
-// pointer and carries no proof markers — a reader acquiring the new epoch
-// could re-fetch the stale snapshot.
+// Analyzer fixture (good twin): the documented publication sequence with
+// its proof markers — snapshot pointer release-stored before the epoch
+// counter.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -14,8 +14,10 @@ struct Publisher {
   std::atomic<std::int64_t> published_epoch_{0};
 
   void publish(std::shared_ptr<const Snapshot> snap, std::int64_t epoch) {
-    published_epoch_.store(epoch, std::memory_order_release);  // BAD: first
+    // publication-order[1]
     latest_.store(std::move(snap), std::memory_order_release);
+    // publication-order[2]
+    published_epoch_.store(epoch, std::memory_order_release);
   }
 };
 

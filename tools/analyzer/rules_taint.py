@@ -1,7 +1,8 @@
 """unordered-order-taint: hash-order dataflow to committed-state sinks.
 
-Replaces the determinism lint's window heuristic with real (if structural)
-dataflow. A *source* introduces the label ``hash-order`` on a variable:
+Where unordered-iteration (rules_source.py) only asks for a sort in the
+lines after a loop, this rule runs real (if structural) dataflow. A
+*source* introduces the label ``hash-order`` on a variable:
 
   * range-for over a ``std::unordered_{map,set}`` (containers pushed into
     inside the loop body inherit the label — that is how hash order
@@ -16,13 +17,10 @@ Labels propagate through assignments, container pushes, and one level of
 helper calls (summaries: which labels a helper's return carries, and which
 parameters the helper feeds into a sink unsorted). A *canonicalizer*
 clears labels: ``std::sort``/``stable_sort``/``ranges::sort`` with a
-deterministic key, or a call to a manifest-listed canonicalizing method
-(``canonical_methods``, e.g. a ``merge`` that splices per-worker buffers
-back into scan order). A finding fires when a
-``hash-order`` value reaches a *sink*: Matching mutation (``add`` /
-``remove_at`` / ``augment``), an oracle query (``find_matching``,
-``query*``, ``static_weak_boost``), a rebuild/replay entry point, or a
-golden digest.
+deterministic key. A finding fires when a ``hash-order`` value reaches a
+*sink*: Matching mutation (``add`` / ``remove_at`` / ``augment``), an
+oracle query (``find_matching``, ``query*``, ``static_weak_boost``), a
+rebuild/replay entry point, or a golden digest.
 
 Scope: src/core, src/dynamic, src/graph (helper summaries are built from
 every analyzed file so cross-file helpers still resolve).
@@ -30,7 +28,6 @@ every analyzed file so cross-file helpers still resolve).
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 
@@ -170,42 +167,10 @@ def _region_end(sf: sm.SourceFile, for_open: int) -> int:
     return i
 
 
-def ast_unordered_lines(path: str, repo_src: str) -> set[int] | None:
-    """AST-confirmed 1-based lines of range-fors over unordered containers
-    (libclang refinement; None when the bindings are unavailable)."""
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None
-    try:
-        tu = cindex.Index.create().parse(
-            path, args=["-std=c++20", "-I", repo_src]
-        )
-    except cindex.TranslationUnitLoadError:
-        return None
-    hits: set[int] = set()
-
-    def visit(node):
-        if node.kind == cindex.CursorKind.CXX_FOR_RANGE_STMT:
-            for child in node.get_children():
-                spelling = child.type.spelling
-                if "unordered_map" in spelling or "unordered_set" in spelling:
-                    if node.location.file and node.location.file.name == path:
-                        hits.add(node.location.line)
-                break
-        for child in node.get_children():
-            visit(child)
-
-    visit(tu.cursor)
-    return hits
-
-
 def _analyze_function(
     sf: sm.SourceFile,
     fn: sm.FunctionDef,
     summaries: dict[str, HelperSummary] | None,
-    canonical_methods: set[str],
-    ast_lines: set[int] | None,
     findings: list[sm.Finding] | None,
 ) -> HelperSummary:
     """Single forward pass over a function body. With ``summaries`` (second
@@ -238,8 +203,7 @@ def _analyze_function(
                     idx,
                     "unordered-order-taint",
                     f"hash-ordered value reaches {kind} '{name}' without "
-                    "canonicalization; sort (or pos-tagged-merge) the "
-                    "collected values first",
+                    "canonicalization; sort the collected values first",
                 )
         for lbl in labels:
             if lbl.startswith("param:"):
@@ -263,7 +227,7 @@ def _analyze_function(
                 if base in sf.unordered_vars:
                     labels.add(HASH_ORDER)
                 labels |= taint.get(base, set())
-            if ast_lines is not None and (idx + 1) in ast_lines:
+            if sf.ast_unordered is not None and (idx + 1) in sf.ast_unordered:
                 labels.add(HASH_ORDER)
             # Strong update: the loop vars are fresh declarations, so a
             # clean iterable *clears* any stale taint from an earlier
@@ -301,14 +265,7 @@ def _analyze_function(
                 continue
             taint.pop(base, None)
 
-        # -- canonicalizing method calls (manifest: e.g. merge) ---------------
         am = ASSIGN_RE.search(line)
-        for method in canonical_methods:
-            if re.search(rf"(?:\.|->)\s*{method}\s*\(", line) and am:
-                taint.pop(am.group(1), None)
-                am = None
-                break
-
         in_region = region_labels(line_off)
 
         # -- plain assignment: strong update (a clean RHS clears taint) -------
@@ -422,33 +379,13 @@ def helper_param_pos(helper: HelperSummary, pname: str) -> int | None:
 
 
 def check(
-    files: list[sm.SourceFile],
-    use_libclang: str = "auto",
-    canonical_methods: set[str] | None = None,
-    taint_all: bool = False,
+    files: list[sm.SourceFile], taint_all: bool = False
 ) -> list[sm.Finding]:
-    canon = canonical_methods or {"merge"}
-    repo_src = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-        "src",
-    )
-
-    ast_by_file: dict[str, set[int] | None] = {}
-    if use_libclang != "no":
-        for sf in files:
-            ast_by_file[sf.path] = ast_unordered_lines(sf.path, repo_src)
-        if use_libclang == "require" and any(
-            v is None for v in ast_by_file.values()
-        ):
-            raise RuntimeError("libclang requested but not importable")
-
     # Pass 1: helper summaries from every file (no cross-function info).
     summaries: dict[str, HelperSummary] = {}
     for sf in files:
         for fn in sf.functions:
-            s = _analyze_function(
-                sf, fn, None, canon, ast_by_file.get(sf.path), None
-            )
+            s = _analyze_function(sf, fn, None, None)
             if s.interesting() and fn.name not in NOT_HELPERS:
                 _PARAM_ORDER[fn.name] = fn.params
                 prev = summaries.get(fn.name)
@@ -464,7 +401,5 @@ def check(
         if not taint_all and sf.subsystem not in TAINT_DIRS:
             continue
         for fn in sf.functions:
-            _analyze_function(
-                sf, fn, summaries, canon, ast_by_file.get(sf.path), findings
-            )
+            _analyze_function(sf, fn, summaries, findings)
     return findings

@@ -15,10 +15,10 @@ but must stay runnable on a stdlib-only box. This module builds a small
   * call utilities — balanced extraction of a call's full argument text
     and its top-level comma split.
 
-When the libclang Python bindings are importable the taint rule
-cross-checks its unordered-iteration sources against the real AST; this
-module stays the canonical (always-available) frontend, mirroring the
-determinism lint's ``--use-libclang`` contract.
+When the libclang Python bindings are importable, ``ast_unordered_lines``
+resolves range-fors over unordered containers against the real AST for
+the rules that read them (``--use-libclang auto|no|require``); this module
+stays the canonical (always-available) frontend.
 """
 
 from __future__ import annotations
@@ -28,11 +28,14 @@ import os
 import re
 from dataclasses import dataclass, field
 
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
 CPP_EXTENSIONS = (".cpp", ".cc", ".cxx", ".hpp", ".hh", ".h")
 IDENT = r"[A-Za-z_]\w*"
 
 # Suppression (sparingly, reason mandatory), on the flagged line or the line
-# above — the analyzer's twin of the determinism lint's allow syntax.
+# above.
 ALLOW_RE = re.compile(r"//\s*bmf-analyzer:\s*allow\(([a-z-]+)\)\s*--\s*(\S.*)$")
 
 RULES = (
@@ -41,6 +44,12 @@ RULES = (
     "relaxed-audit",
     "publication-order",
     "single-writer-ledger",
+    "unordered-iteration",
+    "bare-thread",
+    "raw-randomness",
+    "raw-openmp",
+    "ungated-fanout",
+    "stale-suppression",
 )
 
 
@@ -216,6 +225,9 @@ class SourceFile:
     unordered_vars: set[str] = field(default_factory=set)
     ptr_vector_vars: set[str] = field(default_factory=set)
     mutex_decls: dict[str, set[str]] = field(default_factory=dict)
+    # 1-based lines of AST-confirmed range-fors over unordered containers;
+    # None when the libclang refinement is off or unavailable.
+    ast_unordered: set[int] | None = None
 
     def line_of(self, off: int) -> int:
         """1-based line number of an offset into the stripped text."""
@@ -431,6 +443,37 @@ def parse_file(path: str, text: str | None = None) -> SourceFile:
             qual = name
         sf.mutex_decls.setdefault(name, set()).add(qual)
     return sf
+
+
+def ast_unordered_lines(path: str) -> set[int] | None:
+    """AST-confirmed 1-based lines of range-fors over unordered containers,
+    or None when the libclang bindings are unavailable or the file does not
+    parse."""
+    try:
+        from clang import cindex  # type: ignore
+    except ImportError:
+        return None
+    try:
+        tu = cindex.Index.create().parse(
+            path, args=["-std=c++20", "-I", os.path.join(REPO_ROOT, "src")]
+        )
+    except cindex.TranslationUnitLoadError:
+        return None
+    hits: set[int] = set()
+
+    def visit(node):
+        if node.kind == cindex.CursorKind.CXX_FOR_RANGE_STMT:
+            for child in node.get_children():
+                spelling = child.type.spelling
+                if "unordered_map" in spelling or "unordered_set" in spelling:
+                    if node.location.file and node.location.file.name == path:
+                        hits.add(node.location.line)
+                break
+        for child in node.get_children():
+            visit(child)
+
+    visit(tu.cursor)
+    return hits
 
 
 def collect_files(paths: list[str]) -> list[str]:

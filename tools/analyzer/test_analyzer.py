@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Fixture + real-tree tests for tools/analyzer (wired into ctest).
 
-Mirrors tools/test_determinism_lint.py: every known-bad fixture under
-fixtures/bad/ must produce at least one finding of the rule named by its
-expectations entry; every good twin must come back completely clean; a
-fixture on disk the expectations table does not mention is itself a
-failure. On top of that the suite checks the analyzer against reality:
+Every known-bad fixture under fixtures/bad/ must produce at least one
+finding of the rule named by its expectations entry, and every rule must
+have such a fixture; every good twin must come back completely clean under
+every rule; a fixture on disk the expectations table does not mention is
+itself a failure. On top of that the suite checks the analyzer against
+reality:
 
   * the full src/ tree is clean under all rules and the default manifest;
-  * the lock rule is not vacuous — it must *observe* the three manifest
+  * the lock rule is not vacuous — it must *observe* the two manifest
     edges in src/ (a scan that sees nothing would trivially pass);
+  * every manifest ledger field names an identifier in src/ code;
   * the planted-violation regression: reverting the PR 7 pair_witness
     collect-then-sort in a scratch copy of framework.cpp must trip
     unordered-order-taint.
@@ -30,15 +32,22 @@ import rules_locks  # noqa: E402
 import source_model as sm  # noqa: E402
 
 FIXTURES = os.path.join(ANALYZER_DIR, "fixtures")
-REPO = os.path.dirname(os.path.dirname(ANALYZER_DIR))
+REPO = sm.REPO_ROOT
 
 # fixture path relative to fixtures/bad -> set of rules it must trip.
 BAD_EXPECTATIONS = {
+    "src/core/raw_random.cpp": {"raw-randomness"},
     "src/core/taint_direct.cpp": {"unordered-order-taint"},
     "src/core/taint_helper.cpp": {"unordered-order-taint"},
-    "src/dynamic/taint_ptr_sort.cpp": {"unordered-order-taint"},
+    "src/core/unordered_commit.cpp": {"unordered-iteration"},
+    "src/dynamic/bare_thread.cpp": {"bare-thread"},
     "src/dynamic/ledger_in_lambda.cpp": {"single-writer-ledger"},
+    "src/dynamic/stale_suppression.cpp": {"stale-suppression"},
+    "src/dynamic/taint_ptr_sort.cpp": {"unordered-order-taint"},
+    "src/graph/omp_pragma.cpp": {"raw-openmp"},
+    "src/graph/ungated_fanout.cpp": {"ungated-fanout"},
     "src/service/lock_undeclared.cpp": {"lock-order"},
+    "src/service/publication.cpp": {"publication-order"},
     "src/service/publication_pairing.cpp": {"publication-order"},
     "src/service/relaxed_unmarked.cpp": {"relaxed-audit"},
     "src/util/lock_cycle.cpp": {"lock-order"},
@@ -53,7 +62,7 @@ def fixture_manifest() -> dict:
 
 
 def default_manifest() -> dict:
-    with open(bmf_analyzer.default_manifest_path(), encoding="utf-8") as f:
+    with open(bmf_analyzer.MANIFEST_PATH, encoding="utf-8") as f:
         return json.load(f)
 
 
@@ -61,6 +70,10 @@ def analyze(paths, manifest, **kwargs):
     return bmf_analyzer.analyze(
         paths, manifest, set(sm.RULES), use_libclang="auto", **kwargs
     )
+
+
+def analyze_bad(rel):
+    return analyze([os.path.join(FIXTURES, "bad", rel)], fixture_manifest())
 
 
 def fixture_files(kind):
@@ -77,13 +90,15 @@ class BadFixtures(unittest.TestCase):
     def test_every_bad_fixture_is_expected(self):
         self.assertEqual(fixture_files("bad"), sorted(BAD_EXPECTATIONS))
 
+    def test_every_rule_has_a_bad_fixture(self):
+        self.assertEqual(
+            set(sm.RULES), set().union(*BAD_EXPECTATIONS.values())
+        )
+
     def test_bad_fixtures_fail_with_the_expected_rule(self):
-        manifest = fixture_manifest()
         for rel, want_rules in BAD_EXPECTATIONS.items():
             with self.subTest(fixture=rel):
-                findings = analyze(
-                    [os.path.join(FIXTURES, "bad", rel)], manifest
-                )
+                findings = analyze_bad(rel)
                 got_rules = {f.rule for f in findings}
                 self.assertTrue(
                     want_rules <= got_rules,
@@ -93,23 +108,47 @@ class BadFixtures(unittest.TestCase):
                 )
 
     def test_lock_cycle_names_the_cycle(self):
-        findings = analyze(
-            [os.path.join(FIXTURES, "bad", "src/util/lock_cycle.cpp")],
-            fixture_manifest(),
-        )
+        findings = analyze_bad("src/util/lock_cycle.cpp")
         cycles = [f for f in findings if "cycle" in f.message]
         self.assertEqual(1, len(cycles), [f.render() for f in findings])
         self.assertIn("CyclePool::a_ -> CyclePool::b_", cycles[0].message)
 
     def test_ledger_catches_helper_one_level_down(self):
-        findings = analyze(
-            [os.path.join(FIXTURES, "bad", "src/dynamic/ledger_in_lambda.cpp")],
-            fixture_manifest(),
-        )
+        findings = analyze_bad("src/dynamic/ledger_in_lambda.cpp")
         self.assertTrue(
             any("charge_round" in f.message for f in findings),
             [f.render() for f in findings],
         )
+
+    def test_raw_random_flags_every_entropy_source(self):
+        findings = analyze_bad("src/core/raw_random.cpp")
+        self.assertGreaterEqual(
+            len([f for f in findings if f.rule == "raw-randomness"]), 3
+        )
+
+    def test_raw_openmp_flags_the_pragma_line_only(self):
+        # Exactly one finding, on the pragma line — the loop it decorates is
+        # ordinary code and must not be swept up in the report.
+        rel = "src/graph/omp_pragma.cpp"
+        with open(os.path.join(FIXTURES, "bad", rel), encoding="utf-8") as f:
+            pragma_line = 1 + next(
+                i for i, line in enumerate(f) if "#pragma omp" in line
+            )
+        findings = analyze_bad(rel)
+        omp = [f for f in findings if f.rule == "raw-openmp"]
+        self.assertEqual(1, len(omp), [f.render() for f in findings])
+        self.assertEqual(pragma_line, omp[0].line)
+        self.assertIn("gated_threads", omp[0].message)
+
+    def test_stale_suppression_flags_every_rot(self):
+        findings = analyze_bad("src/dynamic/stale_suppression.cpp")
+        stale = [f for f in findings if f.rule == "stale-suppression"]
+        self.assertEqual(4, len(stale), [f.render() for f in findings])
+        messages = " | ".join(f.message for f in stale)
+        self.assertIn("names no known bmf-analyzer rule", messages)
+        self.assertIn("lacks the mandatory ' -- <reason>' tail", messages)
+        self.assertIn("uses a retired prefix", messages)
+        self.assertIn("bare NOLINT", messages)
 
 
 class GoodFixtures(unittest.TestCase):
@@ -150,7 +189,7 @@ class RealTree(unittest.TestCase):
         self.assertEqual([], [f.render() for f in findings])
 
     def test_lock_rule_observes_the_manifest_edges(self):
-        # Guards against a vacuously-green lock rule: the three reviewed
+        # Guards against a vacuously-green lock rule: the two reviewed
         # nestings must actually be seen by the scan.
         files = [
             sm.parse_file(p)
@@ -172,6 +211,17 @@ class RealTree(unittest.TestCase):
                 observed |= {(e.src, e.dst) for e in edges}
         for edge in default_manifest()["allowed_edges"]:
             self.assertIn(tuple(edge), observed)
+
+    def test_every_ledger_field_occurs_in_src(self):
+        # A ledger field whose subject was deleted guards nothing.
+        code = "\n".join(
+            sm.parse_file(p).text
+            for p in sm.collect_files([os.path.join(REPO, "src")])
+        )
+        for name in default_manifest()["ledger_fields"]:
+            with self.subTest(field=name):
+                self.assertRegex(name, rf"^{sm.IDENT}$")
+                self.assertRegex(code, rf"\b{name}\b")
 
     def test_relaxed_sites_in_src_are_all_justified(self):
         # Every memory_order_relaxed in src/ carries a relaxed-ok reason —
