@@ -84,7 +84,8 @@ void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
     // follow structure-id order, right ids first-encounter order. A left
     // node's arcs are handled together, so a (left, right) pair repeats iff
     // its right node is stamped with the current left id; the first witness
-    // is kept.
+    // is kept. The sweep reads the forest's live adjacency, which has dropped
+    // only neighbours the tests below reject (structures.hpp).
     OracleGraph h;
     std::vector<std::pair<Vertex, Vertex>> witness;  // (w, x) per H-edge
     left_level_.clear();
@@ -97,7 +98,7 @@ void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
       if (stage >= 0 && level != stage) continue;
       arcs_.clear();
       arena.for_each_vertex(si.working, [&](Vertex w) {
-        for (Vertex x : g_.neighbors(w)) {
+        for (Vertex x : forest.live_neighbors(w)) {
           if (forest.is_removed(x) || m.mate(x) == kNoVertex) continue;
           if (m.mate(w) == x) continue;  // g must be unmatched
           if (!forest.is_unvisited(x) && !forest.is_inner(x)) continue;

@@ -18,8 +18,13 @@
 /// serial sweep over the live structures in structure-id order. Two cases
 /// build nothing: a stage below the forest's next eligible level, and an H'
 /// sweep whose outer log holds no H' arc (structures.hpp); each still counts
-/// its one empty sweep. The Theorem 6.2 rebuild inside the dynamic matcher
-/// runs its exhaustion sweeps through this driver.
+/// its one empty sweep. The H'_s sweep reads the forest's live adjacency
+/// (structures.hpp) instead of g: the lists keep g's order and drop only
+/// neighbours that cannot be the right end of an H'_s arc again in the phase,
+/// so the sweep finds the same arcs, witnesses and oracle input. Local
+/// contractions and the H' sweep look for outer neighbours, so they read g.
+/// The Theorem 6.2 rebuild inside the dynamic matcher runs its exhaustion
+/// sweeps through this driver.
 
 #include <cstdint>
 #include <functional>

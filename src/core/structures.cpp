@@ -37,6 +37,22 @@ void StructureForest::init_phase() {
   for (Vertex v = 0; v < n; ++v)
     if (!m_.is_free(v)) lab_[static_cast<std::size_t>(v)] = lmax_ + 1;
 
+  // Live adjacency: g less the mates; the roots below mark their neighbours'
+  // lists dirty, so they leave on each list's first read.
+  live_.clear();
+  live_.reserve(static_cast<std::size_t>(2 * g_.num_edges()));
+  live_begin_.resize(static_cast<std::size_t>(n));
+  live_len_.resize(static_cast<std::size_t>(n));
+  live_dirty_.assign(static_cast<std::size_t>(n), 0);
+  for (Vertex w = 0; w < n; ++w) {
+    const auto wi = static_cast<std::size_t>(w);
+    live_begin_[wi] = live_.size();
+    const Vertex mw = m_.mate(w);
+    for (const Vertex x : g_.neighbors(w))
+      if (x != mw) live_.push_back(x);
+    live_len_[wi] = static_cast<std::int32_t>(live_.size() - live_begin_[wi]);
+  }
+
   for (Vertex v = 0; v < n; ++v) {
     if (!m_.is_free(v)) continue;
     const auto sid = static_cast<StructureId>(structures_.size());
@@ -83,7 +99,21 @@ void StructureForest::note_outer(Vertex x) {
     outer_log_.push_back(x);
   }
   clean_[xi] = 0;
-  for (Vertex y : g_.neighbors(x)) clean_[static_cast<std::size_t>(y)] = 0;
+  for (Vertex y : g_.neighbors(x)) {
+    clean_[static_cast<std::size_t>(y)] = 0;
+    live_dirty_[static_cast<std::size_t>(y)] = 1;
+  }
+}
+
+void StructureForest::compact_live(Vertex w) {
+  const auto wi = static_cast<std::size_t>(w);
+  const auto first = live_.begin() + static_cast<std::ptrdiff_t>(live_begin_[wi]);
+  // Outer and removed are the two states a vertex never leaves in a phase.
+  const auto last = std::remove_if(first, first + live_len_[wi], [&](Vertex x) {
+    return !is_unvisited(x) && !is_inner(x);
+  });
+  live_len_[wi] = static_cast<std::int32_t>(last - first);
+  live_dirty_[wi] = 0;
 }
 
 void StructureForest::relabel_inner(StructureId s, Vertex v, int k) {
@@ -96,6 +126,12 @@ bool StructureForest::has_inner_above(StructureId s, int l) const {
   for (int b = std::min(l, buckets_ - 2) + 1; b < buckets_; ++b)
     if (inner_count(s, b) != 0) return true;
   return false;
+}
+
+std::int64_t StructureForest::outer_count(StructureId s) const {
+  std::int64_t inner = 0;
+  for (int b = 0; b < buckets_; ++b) inner += inner_count(s, b);
+  return structures_[static_cast<std::size_t>(s)].size - inner;
 }
 
 void StructureForest::clear_outer_log() {
@@ -587,13 +623,17 @@ void StructureForest::check_invariants() const {
 
     // The inner-label counts match a recount of the members.
     std::vector<std::int32_t> inner(static_cast<std::size_t>(buckets_), 0);
-    for (Vertex w : s.members)
+    std::int64_t outer = 0;
+    for (Vertex w : s.members) {
       if (is_inner(w))
         ++inner[static_cast<std::size_t>(
             std::min(lab_[static_cast<std::size_t>(w)], buckets_ - 1))];
+      if (is_outer(w)) ++outer;
+    }
     for (int b = 0; b < buckets_; ++b)
       BMF_ASSERT_MSG(inner_count(sid, b) == inner[static_cast<std::size_t>(b)],
                      "inner-label count differs from a recount");
+    BMF_ASSERT_MSG(outer_count(sid) == outer, "outer count differs from a recount");
 
     if (s.working != kNoBlossom) {
       const BlossomNode& wn = arena_.node(s.working);
@@ -649,6 +689,28 @@ void StructureForest::check_invariants() const {
                            logged_[static_cast<std::size_t>(x)] != 0,
                        "H' arc with no endpoint in the outer log");
     }
+  }
+
+  // Each live list is a subsequence of g's row (g is simple, so a greedy
+  // match decides it) that keeps every neighbour other than the mate that is
+  // neither outer nor removed; a clean list holds no outer vertex.
+  for (Vertex w = 0; w < n; ++w) {
+    const auto wi = static_cast<std::size_t>(w);
+    const Vertex* live = live_.data() + live_begin_[wi];
+    const std::int32_t len = live_len_[wi];
+    std::int32_t i = 0;
+    for (const Vertex x : g_.neighbors(w)) {
+      if (i < len && live[i] == x) {
+        ++i;
+        BMF_ASSERT_MSG(x != m_.mate(w), "live list holds the mate");
+        BMF_ASSERT_MSG(live_dirty_[wi] != 0 || !is_outer(x),
+                       "clean live list holds an outer vertex");
+        continue;
+      }
+      BMF_ASSERT_MSG(x == m_.mate(w) || is_outer(x) || is_removed(x),
+                     "live list dropped a neighbour that can still be an arc end");
+    }
+    BMF_ASSERT_MSG(i == len, "live list is not a subsequence of g's row");
   }
 }
 

@@ -11,11 +11,11 @@
 /// phase engine after the phase ends (Algorithm 1 line 6). The matching is
 /// read-only during a phase.
 ///
-/// Three pieces of per-phase state let the drivers' sweeps skip what has not
-/// changed since they last looked. The first two are kept by one private
-/// hook, `note_outer(x)`, which runs wherever a vertex becomes outer (a root
-/// at `init_phase`, Overtake case 1's new outer vertex, an inner cycle member
-/// a contraction absorbs) or moves to another structure while outer (Overtake
+/// Four pieces of per-phase state let the drivers' sweeps skip what has not
+/// changed since they last looked. Three are kept by one private hook,
+/// `note_outer(x)`, which runs wherever a vertex becomes outer (a root at
+/// `init_phase`, Overtake case 1's new outer vertex, an inner cycle member a
+/// contraction absorbs) or moves to another structure while outer (Overtake
 /// case 2.2):
 ///  * the outer log: every such vertex since the log was last cleared. An
 ///    inter-structure outer/outer arc (an H' arc, Definition 5.4) can only
@@ -24,8 +24,18 @@
 ///    finds no such arc at a logged vertex proves H' empty;
 ///  * contraction-clean bits: a vertex whose full neighbour scan found no
 ///    contractible arc keeps its bit until `note_outer` runs on it or on a
-///    neighbour, the only events that can give it one.
-/// The third is kept wherever an inner member joins, is relabelled, moves or
+///    neighbour, the only events that can give it one;
+///  * live adjacency: each vertex's neighbours in g's order, without its mate
+///    and, lazily, without every neighbour that is outer or removed.
+///    `init_phase` copies g less the mates; `note_outer(x)` marks x's
+///    neighbours' lists dirty, and `live_neighbors` compacts a dirty list,
+///    stably, before returning it. Within a phase an outer vertex stays outer
+///    until it is removed, removal is permanent and the matching is fixed, so
+///    a dropped neighbour can never again be the unvisited or inner end of an
+///    overtake arc (H'_s, Definition 5.8). The scans that look only for those
+///    ends read these lists and see the same arcs, in the same order, as a
+///    scan of g.
+/// The fourth is kept wherever an inner member joins, is relabelled, moves or
 /// is absorbed (Overtake cases 1, 2.1 and 2.2, `move_subtree`, Contract):
 ///  * inner-label counts: for each structure, how many of its inner members
 ///    carry each label. An in-structure overtake at stage s needs an inner
@@ -34,6 +44,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/blossoms.hpp"
@@ -157,6 +168,17 @@ class StructureForest {
   /// Records such a scan of a working-blossom vertex.
   void mark_contraction_clean(Vertex v) { clean_[static_cast<std::size_t>(v)] = 1; }
 
+  /// w's live adjacency: its neighbours in g's order, without its mate and
+  /// without every neighbour that was outer or removed when this call
+  /// compacted the list. The span stays valid until the next call for w or
+  /// `init_phase`; an operation run in between may make one of its vertices
+  /// outer or removed, which the caller's own tests still see.
+  [[nodiscard]] std::span<const Vertex> live_neighbors(Vertex w) {
+    const auto wi = static_cast<std::size_t>(w);
+    if (live_dirty_[wi] != 0) compact_live(w);
+    return {live_.data() + live_begin_[wi], static_cast<std::size_t>(live_len_[wi])};
+  }
+
   /// Inner members of live structure s with label l. Labels of
   /// kLabelBuckets - 1 and above share the last count, so that an l_max of
   /// up to 2^31 costs at most kLabelBuckets counts per structure.
@@ -168,6 +190,8 @@ class StructureForest {
   /// l_max + 2 <= kLabelBuckets), and true for larger l whenever the shared
   /// last count is non-zero.
   [[nodiscard]] bool has_inner_above(StructureId s, int l) const;
+  /// Outer members of live structure s: its size less its inner members.
+  [[nodiscard]] std::int64_t outer_count(StructureId s) const;
   static constexpr int kLabelBuckets = 64;
 
   // ---- structures --------------------------------------------------------
@@ -205,9 +229,12 @@ class StructureForest {
  private:
   void mark_extended(StructureId s);
   void mark_modified(StructureId s);
-  /// x became outer or moved while outer: log it, and clear the clean bits of
-  /// x and its neighbours.
+  /// x became outer or moved while outer: log it, clear the clean bits of x
+  /// and its neighbours, and mark its neighbours' live lists dirty.
   void note_outer(Vertex x);
+  /// Drops the outer and removed vertices from w's live list, keeping the
+  /// order of the rest, and clears w's dirty byte.
+  void compact_live(Vertex w);
   [[nodiscard]] std::size_t count_index(StructureId s, int l) const {
     return static_cast<std::size_t>(s) * static_cast<std::size_t>(buckets_) +
            static_cast<std::size_t>(std::min(l, buckets_ - 1));
@@ -238,6 +265,13 @@ class StructureForest {
   std::vector<Vertex> outer_log_;
   std::vector<std::uint8_t> logged_;  ///< v is in outer_log_
   std::vector<std::uint8_t> clean_;   ///< contraction-clean bits
+  /// Live adjacency: w's list is live_[live_begin_[w] .. + live_len_[w]),
+  /// carved out of one array of g's 2m adjacency entries; live_dirty_[w] is
+  /// set when a neighbour of w becomes outer or moves while outer.
+  std::vector<Vertex> live_;
+  std::vector<std::size_t> live_begin_;
+  std::vector<std::int32_t> live_len_;
+  std::vector<std::uint8_t> live_dirty_;
   /// Inner-label counts, buckets_ per structure in structure-id order.
   std::vector<std::int32_t> inner_count_;
 

@@ -49,11 +49,15 @@ void WeakOracleDriver::in_structure_sweep(StructureForest& forest, int stage) {
     // (P3) needs an inner member x of this structure with label(x) > stage + 1;
     // without one no (w, x) can overtake, so the scan is skipped.
     if (!forest.has_inner_above(sid, stage + 1)) continue;
+    // The scan reads w's live adjacency, which has dropped w's mate and only
+    // neighbours that are outer or removed, so it meets the same inner x in
+    // g's order. The overtake below only sets flags in the forest, so the
+    // span stays valid until the break right after it.
     bool done = false;
     scan_.clear();
     forest.arena().collect_vertices(si.working, scan_);
     for (Vertex w : scan_) {
-      for (Vertex x : g_.neighbors(w)) {
+      for (Vertex x : forest.live_neighbors(w)) {
         if (forest.structure_of(x) != sid) continue;
         if (!forest.is_inner(x) || forest.label(x) <= stage + 1) continue;
         if (forest.can_overtake(w, x, stage + 1)) {
@@ -156,11 +160,34 @@ void WeakOracleDriver::contract_and_augment(StructureForest& forest) {
   // below only retire structures, which creates no type-1 arc, so the
   // exhaustion sweep at the end runs step 2 alone.
   fallback_.run_local_contractions(forest);
+  run_sampled_augments(forest);
+  if (cfg_.exhaustive_fallback) fallback_.run_augment_loop(forest);
+}
 
+void WeakOracleDriver::run_sampled_augments(StructureForest& forest) {
   // Step 2: sampled Augment iterations — one uniformly random *outer* vertex
-  // per structure, A_weak on G[S] (Figure 4). Only augments run in this loop,
-  // and an augment only retires structures: every live structure keeps its
-  // outer members, in member order, so each list is filtered once up front.
+  // per structure, A_weak on G[S] (Figure 4).
+  //
+  // With fewer than two live structures the loop below stops before its
+  // first query, after one draw for a lone structure (none if the loop does
+  // not start). The draw only needs the structure's outer count, which its
+  // inner-label counts give without filtering the members.
+  std::int64_t live = 0;
+  StructureId lone = kNoStructure;
+  for (StructureId sid = 0; sid < forest.num_structures() && live < 2; ++sid) {
+    if (forest.structure(sid).removed) continue;
+    ++live;
+    lone = sid;
+  }
+  if (live < 2) {
+    if (live == 1 && cfg_.sample_patience > 0 && cfg_.max_stage_iterations > 0)
+      (void)rng_.next_below(static_cast<std::uint64_t>(forest.outer_count(lone)));
+    return;
+  }
+
+  // Only augments run in this loop, and an augment only retires structures:
+  // every live structure keeps its outer members, in member order, so each
+  // list is filtered once up front.
   outer_members_.clear();
   outer_begin_.clear();
   for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
@@ -204,8 +231,6 @@ void WeakOracleDriver::contract_and_augment(StructureForest& forest) {
     else
       stall = 0;
   }
-
-  if (cfg_.exhaustive_fallback) fallback_.run_augment_loop(forest);
 }
 
 Matching weak_initial_matching(Vertex n, WeakOracle& oracle,

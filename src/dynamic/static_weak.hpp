@@ -69,6 +69,8 @@ class WeakOracleDriver final : public PassBundleDriver {
  private:
   void run_overtake_stage(StructureForest& forest, int stage);
   void in_structure_sweep(StructureForest& forest, int stage);
+  /// Contract-and-Augment's sampled augments (Section 6.5, step 2).
+  void run_sampled_augments(StructureForest& forest);
 
   const Graph& g_;
   WeakOracle& oracle_;
@@ -88,8 +90,9 @@ class WeakOracleDriver final : public PassBundleDriver {
   std::vector<Vertex> s_plus_, s_minus_;
   /// The sampled augment's outer members: structure s owns
   /// outer_members_[outer_begin_[s] .. outer_begin_[s + 1]). Filtered once
-  /// per contract_and_augment: its loop only augments, and an augment only
-  /// retires structures, so a live structure's list stays exact.
+  /// per run_sampled_augments that sees two or more live structures: its
+  /// loop only augments, and an augment only retires structures, so a live
+  /// structure's list stays exact.
   std::vector<Vertex> outer_members_;
   std::vector<std::size_t> outer_begin_;
   std::vector<Vertex> sample_set_;  ///< the sampled augment's S

@@ -518,6 +518,125 @@ TEST(StructureForest, NextEligibleLevelSkipsEmptyLevels) {
 }
 
 // ---------------------------------------------------------------------------
+// Live adjacency: one test per way a vertex becomes or stays outer. Each
+// check_invariants call also checks every list against g's rows.
+// ---------------------------------------------------------------------------
+
+std::vector<Vertex> live(StructureForest& f, Vertex w) {
+  const std::span<const Vertex> s = f.live_neighbors(w);
+  return {s.begin(), s.end()};
+}
+
+TEST(StructureForest, InitPhaseDropsMatesAndRootsLeaveOnFirstRead) {
+  // Roots 0 and 5; 1 = 2 and 3 = 4 matched, with the chord 1 - 3.
+  const Graph g = make_graph(
+      6, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {1, 3}, {3, 5}});
+  Matching m(6);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.check_invariants();  // 1's and 3's lists still hold a root, but are dirty
+  EXPECT_EQ(live(f, 0), (std::vector<Vertex>{1}));
+  EXPECT_EQ(live(f, 1), (std::vector<Vertex>{3}));     // row 0 2 3
+  EXPECT_EQ(live(f, 2), (std::vector<Vertex>{3}));     // row 1 3
+  EXPECT_EQ(live(f, 3), (std::vector<Vertex>{1, 2}));  // row 1 2 4 5
+  EXPECT_EQ(live(f, 4), (std::vector<Vertex>{}));      // row 3
+  EXPECT_EQ(live(f, 5), (std::vector<Vertex>{3}));
+  f.check_invariants();
+}
+
+TEST(StructureForest, OvertakeCase1NewOuterLeavesNeighbourListsOnNextRead) {
+  // 0 - 1 = 2, the triangle 2 - 3 = 4 - 2 and the chord 1 - 3: overtaking
+  // (0, 1) makes 1 inner and 2 outer, so 3 keeps 1 and loses 2, 4 loses 2,
+  // and 2 keeps the unvisited 3 and 4.
+  const Graph g = make_graph(
+      5, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {2, 4}, {1, 3}});
+  Matching m(5);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  EXPECT_EQ(live(f, 3), (std::vector<Vertex>{1, 2}));
+  EXPECT_EQ(live(f, 4), (std::vector<Vertex>{2}));
+
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.check_invariants();
+  EXPECT_EQ(live(f, 3), (std::vector<Vertex>{1}));
+  EXPECT_EQ(live(f, 4), (std::vector<Vertex>{}));
+  EXPECT_EQ(live(f, 1), (std::vector<Vertex>{3}));  // 0 is outer, 2 the mate
+  EXPECT_EQ(live(f, 2), (std::vector<Vertex>{3, 4}));
+  f.check_invariants();
+}
+
+TEST(StructureForest, ContractionsAbsorbedInnerMembersLeaveNeighbourLists) {
+  // The 5-cycle 0 - 1 = 2 - 3 = 4 - 0 with the matched pair 5 = 6 hanging
+  // off its inner vertices 1 and 3. 5 and 6 keep them while they are inner
+  // and lose them once the contraction makes them outer.
+  const Graph g = make_graph(7, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4},
+                                                  {4, 0}, {1, 5}, {3, 6}, {5, 6}});
+  Matching m(7);
+  m.add(1, 2);
+  m.add(3, 4);
+  m.add(5, 6);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  ASSERT_TRUE(f.is_inner(1));
+  ASSERT_TRUE(f.is_inner(3));
+  EXPECT_EQ(live(f, 5), (std::vector<Vertex>{1}));
+  EXPECT_EQ(live(f, 6), (std::vector<Vertex>{3}));
+
+  f.begin_pass_bundle(1000);
+  f.contract(4, 0);
+  ASSERT_TRUE(f.is_outer(1));
+  ASSERT_TRUE(f.is_outer(3));
+  f.check_invariants();
+  EXPECT_EQ(live(f, 5), (std::vector<Vertex>{}));
+  EXPECT_EQ(live(f, 6), (std::vector<Vertex>{}));
+  f.check_invariants();
+}
+
+TEST(StructureForest, StealKeepsTheMovedOuterVerticesOut) {
+  // The steal of OvertakeCase22StealsSubtreeAndWorkingVertex, plus the
+  // matched pair 7 = 8 hanging off 2. 7 loses 2 when 2 becomes outer in
+  // S_beta, and the steal that moves 2 to S_alpha does not bring it back;
+  // 6 keeps 1, which is inner on both sides of the steal.
+  const Graph g = make_graph(
+      11, std::vector<Edge>{{10, 5}, {5, 6}, {6, 1}, {1, 2}, {0, 1}, {2, 7}, {7, 8}});
+  Matching m(11);
+  m.add(5, 6);
+  m.add(1, 2);
+  m.add(7, 8);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  EXPECT_EQ(live(f, 7), (std::vector<Vertex>{2}));
+  f.begin_pass_bundle(1000);
+  f.overtake(10, 5, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(6, 1, 2);
+  EXPECT_EQ(live(f, 7), (std::vector<Vertex>{}));
+  EXPECT_EQ(live(f, 6), (std::vector<Vertex>{1}));
+
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);  // case 2.2
+  ASSERT_EQ(f.totals().overtake_steal, 1);
+  ASSERT_EQ(f.structure_of(2), f.structure_of(0));
+  f.check_invariants();
+  EXPECT_EQ(live(f, 7), (std::vector<Vertex>{}));
+  EXPECT_EQ(live(f, 6), (std::vector<Vertex>{1}));
+  f.check_invariants();
+}
+
+// ---------------------------------------------------------------------------
 // Inner-label counts: one test per place an inner member changes.
 // ---------------------------------------------------------------------------
 

@@ -29,7 +29,7 @@ import re
 import source_model as sm
 
 PARALLEL_RES = (
-    re.compile(r"\bparallel_(?:for|reduce)_threads\s*\("),
+    re.compile(r"\bparallel_for_threads\s*\("),
     re.compile(r"(?:\.|->)\s*(?:parallel_for|submit|try_submit)\s*\("),
     re.compile(rf"\bDedicatedThread\s+{sm.IDENT}\s*\(|\bDedicatedThread\s*\("),
 )

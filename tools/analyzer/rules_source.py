@@ -54,7 +54,7 @@ RAW_RANDOM_RE = re.compile(
     r"std::random_device)"
 )
 OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\b")
-FANOUT_RE = re.compile(r"\b(parallel_for_threads|parallel_reduce_threads)\s*\(")
+FANOUT_RE = re.compile(r"\bparallel_for_threads\s*\(")
 # A type name right before the (possibly qualified) fan-out name marks a
 # declaration or definition, `void parallel_for_threads(int threads, ...)`;
 # a call follows punctuation or a keyword such as `return`.

@@ -184,17 +184,20 @@ class SuppressionPolicy(unittest.TestCase):
 
 
 class RealTree(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        # One whole-src/ analysis and one parse, shared by the tests below.
+        src = os.path.join(REPO, "src")
+        cls.findings = analyze([src], default_manifest())
+        cls.files = [sm.parse_file(p) for p in sm.collect_files([src])]
+
     def test_src_is_clean_under_all_rules(self):
-        findings = analyze([os.path.join(REPO, "src")], default_manifest())
-        self.assertEqual([], [f.render() for f in findings])
+        self.assertEqual([], [f.render() for f in self.findings])
 
     def test_lock_rule_observes_the_manifest_edges(self):
         # Guards against a vacuously-green lock rule: the two reviewed
         # nestings must actually be seen by the scan.
-        files = [
-            sm.parse_file(p)
-            for p in sm.collect_files([os.path.join(REPO, "src")])
-        ]
+        files = self.files
         reg = rules_locks._Registry(files)
         for sf in files:
             for fn in sf.functions:
@@ -214,10 +217,7 @@ class RealTree(unittest.TestCase):
 
     def test_every_ledger_field_occurs_in_src(self):
         # A ledger field whose subject was deleted guards nothing.
-        code = "\n".join(
-            sm.parse_file(p).text
-            for p in sm.collect_files([os.path.join(REPO, "src")])
-        )
+        code = "\n".join(sf.text for sf in self.files)
         for name in default_manifest()["ledger_fields"]:
             with self.subTest(field=name):
                 self.assertRegex(name, rf"^{sm.IDENT}$")
@@ -226,9 +226,8 @@ class RealTree(unittest.TestCase):
     def test_relaxed_sites_in_src_are_all_justified(self):
         # Every memory_order_relaxed in src/ carries a relaxed-ok reason —
         # the audit half of the rule, asserted directly.
-        findings = analyze([os.path.join(REPO, "src")], default_manifest())
         self.assertEqual(
-            [], [f.render() for f in findings if f.rule == "relaxed-audit"]
+            [], [f.render() for f in self.findings if f.rule == "relaxed-audit"]
         )
 
 
