@@ -46,7 +46,7 @@ int main() {
 
     t.add_row({item.name, Table::integer(oracle.calls()),
                Table::integer(
-                   static_cast<std::int64_t>(2 * oracle.approx_factor()) + 1),
+                   CoreConfig::initial_matching_calls(oracle.approx_factor())),
                Table::integer(m0.size()), Table::integer(mu),
                Table::num(static_cast<double>(mu) /
                               static_cast<double>(std::max<std::int64_t>(1, m0.size())),

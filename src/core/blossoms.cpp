@@ -9,12 +9,17 @@ namespace bmf {
 void BlossomArena::reset(Vertex n) {
   n_ = n;
   nodes_.assign(static_cast<std::size_t>(n), BlossomNode{});
-  root_.resize(static_cast<std::size_t>(n));
+  next_.assign(static_cast<std::size_t>(n), kNoVertex);
+  group_.resize(static_cast<std::size_t>(n));
+  group_root_.resize(static_cast<std::size_t>(n));
   for (Vertex v = 0; v < n; ++v) {
     BlossomNode& b = nodes_[static_cast<std::size_t>(v)];
     b.vert = v;
     b.base = v;
-    root_[static_cast<std::size_t>(v)] = trivial(v);
+    b.first = b.last = v;
+    b.size = 1;
+    group_[static_cast<std::size_t>(v)] = v;
+    group_root_[static_cast<std::size_t>(v)] = trivial(v);
   }
 }
 
@@ -27,12 +32,30 @@ BlossomId BlossomArena::make_composite(std::vector<BlossomId> cycle,
   nb.base = node(cycle.front()).base;
   nb.cycle = std::move(cycle);
   nb.cycle_edges = std::move(cycle_edges);
+  // Join the children's runs in cycle order and find the largest child (the
+  // first of equal sizes).
+  nb.first = node(nb.cycle.front()).first;
+  Vertex prev_last = kNoVertex;
+  BlossomId largest = nb.cycle.front();
   for (BlossomId child : nb.cycle) {
-    BMF_ASSERT(node(child).parent == kNoBlossom);
-    node(child).parent = id;
+    BlossomNode& cn = node(child);
+    BMF_ASSERT(cn.parent == kNoBlossom);
+    cn.parent = id;
+    if (prev_last != kNoVertex) next_[static_cast<std::size_t>(prev_last)] = cn.first;
+    prev_last = cn.last;
+    nb.size += cn.size;
+    if (cn.size > node(largest).size) largest = child;
+  }
+  nb.last = prev_last;
+  // The largest child's group becomes the new blossom's; the others join it.
+  const Vertex group = group_[static_cast<std::size_t>(node(largest).first)];
+  group_root_[static_cast<std::size_t>(group)] = id;
+  for (BlossomId child : nb.cycle) {
+    if (child == largest) continue;
+    for_each_vertex(child,
+                    [&](Vertex w) { group_[static_cast<std::size_t>(w)] = group; });
   }
   nodes_.push_back(std::move(nb));
-  for_each_vertex(id, [&](Vertex w) { root_[static_cast<std::size_t>(w)] = id; });
   return id;
 }
 
@@ -44,14 +67,6 @@ std::vector<Vertex> BlossomArena::vertices(BlossomId b) const {
   std::vector<Vertex> out;
   collect_vertices(b, out);
   return out;
-}
-
-std::int64_t BlossomArena::vertex_count(BlossomId b) const {
-  const BlossomNode& nb = node(b);
-  if (nb.is_trivial()) return 1;
-  std::int64_t total = 0;
-  for (BlossomId child : nb.cycle) total += vertex_count(child);
-  return total;
 }
 
 std::size_t BlossomArena::child_index_containing(BlossomId b, Vertex v) const {

@@ -108,10 +108,15 @@ struct CoreConfig {
   }
 
   /// Paper-scheduled oracle iterations per simulation loop (Algorithms 4, 5)
-  /// for a c-approximate oracle.
+  /// for a c-approximate oracle, saturated at INT64_MAX.
   [[nodiscard]] std::int64_t scheduled_iterations(double c) const {
-    return std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(std::ceil(22.0 * c * std::log(1.0 / eps))));
+    return std::max<std::int64_t>(1, saturating_ceil(22.0 * c * std::log(1.0 / eps)));
+  }
+
+  /// Lemma 5.3's oracle calls for the initial matching, floor(2c) + 1 for a
+  /// c-approximate oracle, saturated at INT64_MAX.
+  [[nodiscard]] static std::int64_t initial_matching_calls(double c) {
+    return saturating_ceil(std::floor(2.0 * c) + 1.0);
   }
 
   [[nodiscard]] std::int64_t pass_bundle_cap(double h) const {
@@ -126,13 +131,17 @@ struct CoreConfig {
   }
 
  private:
-  /// ceil(x) as an int64, saturated at INT64_MAX: at the finest scale the
-  /// pass-bundle and phase schedules pass it for eps below about 8.4e-9.
+  /// ceil(x) as an int64, saturated at both ends, with NaN read as INT64_MAX.
+  /// At the finest scale the pass-bundle and phase schedules pass INT64_MAX
+  /// for eps below about 8.4e-9, and the oracle schedules do for a huge
+  /// approximation factor. A driver computes its oracle schedule before the
+  /// phase engine rejects a bad eps, which can make x NaN or -inf.
   [[nodiscard]] static std::int64_t saturating_ceil(double x) {
     constexpr double kLimit = 9223372036854775808.0;  // 2^63
     const double c = std::ceil(x);
-    return c >= kLimit ? std::numeric_limits<std::int64_t>::max()
-                       : static_cast<std::int64_t>(c);
+    if (c < -kLimit) return std::numeric_limits<std::int64_t>::min();
+    return c < kLimit ? static_cast<std::int64_t>(c)
+                      : std::numeric_limits<std::int64_t>::max();
   }
 };
 

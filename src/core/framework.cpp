@@ -1,6 +1,7 @@
 #include "core/framework.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 #include <utility>
 
@@ -31,6 +32,16 @@ bool logged_hprime_arc(const StructureForest& forest, const Graph& g) {
   return false;
 }
 
+/// The oracle's approximation factor c, which both oracle schedules scale
+/// with. A NaN, infinite or below-1 factor is API misuse: the schedules used
+/// to cast it to an int64 unchecked.
+double checked_approx_factor(const MatchingOracle& oracle) {
+  const double c = oracle.approx_factor();
+  BMF_REQUIRE(std::isfinite(c) && c >= 1.0,
+              "MatchingOracle: approx_factor() must be finite and >= 1");
+  return c;
+}
+
 }  // namespace
 
 FrameworkDriver::FrameworkDriver(const Graph& g, MatchingOracle& oracle,
@@ -38,6 +49,7 @@ FrameworkDriver::FrameworkDriver(const Graph& g, MatchingOracle& oracle,
     : g_(g),
       oracle_(oracle),
       cfg_(cfg),
+      iteration_bound_(cfg.scheduled_iterations(checked_approx_factor(oracle))),
       right_id_(static_cast<std::size_t>(g.num_vertices()), -1) {}
 
 bool FrameworkDriver::exhaustive() const {
@@ -70,8 +82,6 @@ void FrameworkDriver::extend_active_path(StructureForest& forest) {
 
 void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
   ++stats_.stage_loops;
-  const std::int64_t iteration_bound =
-      cfg_.scheduled_iterations(oracle_.approx_factor());
   const Matching& m = forest.matching();
   const BlossomArena& arena = forest.arena();
 
@@ -169,7 +179,7 @@ void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
       break;
     }
     if (cfg_.iteration_mode == IterationMode::kPaperBound &&
-        iterations >= iteration_bound) {
+        iterations >= iteration_bound_) {
       ++stats_.truncated_loops;
       break;
     }
@@ -179,30 +189,27 @@ void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
 void FrameworkDriver::run_local_contractions(StructureForest& forest) {
   // Step 1 of Contract-and-Augment: exhaust type-1 arcs. Only arcs incident
   // to a working vertex qualify (Definition 5.2), so it suffices to rescan
-  // the (growing) working blossom after each contraction. The scan copies
-  // the blossom's vertices first: a contraction grows the arena. A
-  // contraction-clean vertex has no contractible arc, so skipping it leaves
-  // the contraction order as is; a full scan that finds none marks it.
+  // the (growing) working blossom after each contraction. The scan walks the
+  // blossom's run in place and stops at the contraction, which makes the new
+  // working blossom. A contraction-clean vertex has no contractible arc, so
+  // skipping it leaves the contraction order as is; a full scan that finds
+  // none marks it.
   for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
+    for (;;) {
       const StructureInfo& si = forest.structure(sid);
       if (si.removed || si.working == kNoBlossom) break;
-      scan_.clear();
-      forest.arena().collect_vertices(si.working, scan_);
-      for (Vertex w : scan_) {
-        if (forest.is_contraction_clean(w)) continue;
+      const Vertex contracted = forest.arena().find_vertex(si.working, [&](Vertex w) {
+        if (forest.is_contraction_clean(w)) return false;
         for (Vertex x : g_.neighbors(w)) {
           if (forest.can_contract(w, x)) {
             forest.contract(w, x);
-            changed = true;
-            break;
+            return true;
           }
         }
-        if (changed) break;
         forest.mark_contraction_clean(w);
-      }
+        return false;
+      });
+      if (contracted == kNoVertex) break;
     }
   }
 }
@@ -218,8 +225,6 @@ void FrameworkDriver::run_augment_loop(StructureForest& forest) {
     forest.clear_outer_log();
     return;
   }
-  const std::int64_t iteration_bound =
-      cfg_.scheduled_iterations(oracle_.approx_factor());
   std::int64_t iterations = 0;
   for (;;) {
     std::unordered_map<StructureId, std::int32_t> index;
@@ -297,7 +302,7 @@ void FrameworkDriver::run_augment_loop(StructureForest& forest) {
       break;
     }
     if (cfg_.iteration_mode == IterationMode::kPaperBound &&
-        iterations >= iteration_bound) {
+        iterations >= iteration_bound_) {
       ++stats_.truncated_loops;
       break;
     }
@@ -312,7 +317,8 @@ void FrameworkDriver::contract_and_augment(StructureForest& forest) {
 Matching framework_initial_matching(const Graph& g, MatchingOracle& oracle,
                                     const CoreConfig& cfg) {
   Matching m(g.num_vertices());
-  const auto bound = static_cast<std::int64_t>(2.0 * oracle.approx_factor()) + 1;
+  const std::int64_t bound =
+      CoreConfig::initial_matching_calls(checked_approx_factor(oracle));
   for (std::int64_t i = 0;; ++i) {
     OracleGraph h;
     h.n = g.num_vertices();

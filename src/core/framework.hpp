@@ -91,6 +91,8 @@ class FrameworkDriver final : public PassBundleDriver {
   const Graph& g_;
   MatchingOracle& oracle_;
   const CoreConfig& cfg_;
+  /// The paper's oracle iterations per loop, for kPaperBound.
+  const std::int64_t iteration_bound_;
   FrameworkStats stats_;
   IterationObserver observer_;
 
@@ -104,7 +106,6 @@ class FrameworkDriver final : public PassBundleDriver {
   std::vector<int> left_level_;                ///< left id -> overtaker level
   /// Left id l owns the H'_s edges [left_edges_[l], left_edges_[l + 1]).
   std::vector<std::size_t> left_edges_;
-  std::vector<Vertex> scan_;  ///< local-contraction vertex scan
 };
 
 /// Lemma 5.3: a Theta(1)-approximate initial matching by repeatedly invoking

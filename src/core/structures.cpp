@@ -586,10 +586,16 @@ void StructureForest::check_invariants() const {
       const BlossomNode& nb = arena_.node(b);
       BMF_ASSERT(nb.parent == kNoBlossom);  // must be a root blossom
       BMF_ASSERT(nb.structure == sid);
-      for (Vertex w : arena_.vertices(b)) {
+      // The run of b holds vertex_count(b) vertices, each in b's root group.
+      const std::vector<Vertex> run = arena_.vertices(b);
+      BMF_ASSERT_MSG(static_cast<std::int64_t>(run.size()) == arena_.vertex_count(b),
+                     "blossom run length differs from its vertex count");
+      for (Vertex w : run) {
         BMF_ASSERT(!is_removed(w));
         BMF_ASSERT(vert_struct_[static_cast<std::size_t>(w)] == sid);
         BMF_ASSERT(!seen[static_cast<std::size_t>(w)]);
+        BMF_ASSERT_MSG(arena_.omega(w) == b,
+                       "run vertex outside its blossom's root group");
         seen[static_cast<std::size_t>(w)] = 1;
         ++count;
       }

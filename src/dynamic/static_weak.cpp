@@ -49,25 +49,22 @@ void WeakOracleDriver::in_structure_sweep(StructureForest& forest, int stage) {
     // (P3) needs an inner member x of this structure with label(x) > stage + 1;
     // without one no (w, x) can overtake, so the scan is skipped.
     if (!forest.has_inner_above(sid, stage + 1)) continue;
-    // The scan reads w's live adjacency, which has dropped w's mate and only
-    // neighbours that are outer or removed, so it meets the same inner x in
-    // g's order. The overtake below only sets flags in the forest, so the
-    // span stays valid until the break right after it.
-    bool done = false;
-    scan_.clear();
-    forest.arena().collect_vertices(si.working, scan_);
-    for (Vertex w : scan_) {
+    // The scan walks the working blossom's run in place and reads w's live
+    // adjacency, which has dropped w's mate and only neighbours that are
+    // outer or removed, so it meets the same inner x in g's order. The
+    // overtake below only sets flags in the forest, so the span stays valid
+    // until the walk stops right after it.
+    forest.arena().find_vertex(si.working, [&](Vertex w) {
       for (Vertex x : forest.live_neighbors(w)) {
         if (forest.structure_of(x) != sid) continue;
         if (!forest.is_inner(x) || forest.label(x) <= stage + 1) continue;
         if (forest.can_overtake(w, x, stage + 1)) {
           forest.overtake(w, x, stage + 1);
-          done = true;  // the structure is extended now
-          break;
+          return true;  // the structure is extended now
         }
       }
-      if (done) break;
-    }
+      return false;
+    });
   }
 }
 

@@ -85,7 +85,6 @@ class WeakOracleDriver final : public PassBundleDriver {
   std::vector<Vertex> unvisited_pool_;
   /// The forest's Overtake case 1 count when the pool was last compacted.
   std::int64_t pool_visits_ = 0;
-  std::vector<Vertex> scan_;  ///< in-structure sweep's vertex scan
   /// A sampled stage's S+ and S-, reused across iterations.
   std::vector<Vertex> s_plus_, s_minus_;
   /// The sampled augment's outer members: structure s owns

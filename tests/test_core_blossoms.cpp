@@ -127,7 +127,36 @@ void expect_root_cache_matches_walk(const BlossomArena& arena) {
     ASSERT_EQ(arena.omega(v), omega_by_parent_walk(arena, v)) << "v=" << v;
 }
 
+/// Blossom order by its definition: the cycle children depth-first, A_0
+/// first.
+void collect_by_recursion(const BlossomArena& arena, BlossomId b,
+                          std::vector<Vertex>& out) {
+  const BlossomNode& nb = arena.node(b);
+  if (nb.is_trivial()) {
+    out.push_back(nb.vert);
+    return;
+  }
+  for (BlossomId child : nb.cycle) collect_by_recursion(arena, child, out);
+}
+
+/// Each root's run visits its vertices in blossom order, and its stored
+/// count is the recursive one.
+void expect_runs_match_recursion(const BlossomArena& arena,
+                                 const std::vector<BlossomId>& roots) {
+  for (const BlossomId b : roots) {
+    std::vector<Vertex> expected;
+    collect_by_recursion(arena, b, expected);
+    ASSERT_EQ(arena.vertices(b), expected) << "b=" << b;
+    ASSERT_EQ(arena.vertex_count(b), static_cast<std::int64_t>(expected.size()))
+        << "b=" << b;
+  }
+}
+
 TEST(BlossomArenaRootCache, MatchesParentWalkOnRandomLaminarFamilies) {
+  // After every composite, each root's omega, vertex run and count must
+  // match their definitions. The shuffled cycles put the largest child, the
+  // one whose root group the composite keeps, at every cycle position, so
+  // the relabelling of the other children is checked on both sides of it.
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
@@ -157,6 +186,7 @@ TEST(BlossomArenaRootCache, MatchesParentWalkOnRandomLaminarFamilies) {
       roots.push_back(b);
       EXPECT_EQ(arena.vertex_count(b), expected_count);
       expect_root_cache_matches_walk(arena);
+      expect_runs_match_recursion(arena, roots);
     }
 
     // A reset to another size restores the identity, larger or smaller.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/framework.hpp"
 #include "dynamic/static_weak.hpp"
 #include "matching/blossom_exact.hpp"
@@ -198,19 +201,36 @@ Graph cycles_and_chains(std::uint64_t seed) {
   return make_graph(n, edges);
 }
 
+/// G(601, 2404) with no isolated vertex, drawn like the static benchmark's
+/// inputs: the odd n leaves a free vertex, so the boost runs to its
+/// certificate, and working blossoms nest dozens of composites deep.
+Graph sparse_odd_random_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  for (;;) {
+    Graph g = gen_random_graph(601, 2404, rng);
+    bool isolated = false;
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      isolated = isolated || g.degree(v) == 0;
+    if (!isolated) return g;
+  }
+}
+
 TEST(Framework, ChangeTrackingInvariantsHoldThroughContractionsAndSteals) {
   // check_invariants runs StructureForest::check_invariants after every
-  // pass-bundle, which also checks the change-tracking state: no
+  // pass-bundle, which also checks the change-tracking state (no
   // contraction-clean vertex has a contractible arc, and every H' arc has an
-  // endpoint in the outer log.
+  // endpoint in the outer log) and that each root blossom's vertex run has
+  // its vertex count and lies in its root group.
   std::int64_t contracts = 0, steals = 0;
   const auto tally = [&](const Graph& g, const Matching& m, const BoostOutcome& o) {
     EXPECT_TRUE(m.is_valid_in(g));
     contracts += o.ops.contracts;
     steals += o.ops.overtake_steal;
   };
-  for (const std::uint64_t seed : {1, 3, 6}) {
-    const Graph g = cycles_and_chains(seed);
+  std::vector<Graph> graphs;
+  for (const std::uint64_t seed : {1, 3, 6}) graphs.push_back(cycles_and_chains(seed));
+  graphs.push_back(sparse_odd_random_graph(1));
+  for (const Graph& g : graphs) {
     for (const double eps : {1.0, 0.5}) {
       CoreConfig cfg;
       cfg.eps = eps;
@@ -334,6 +354,55 @@ class FixedAnswerOracle final : public MatchingOracle {
  private:
   OracleMatching answer_;
 };
+
+/// A greedy oracle that reports the given approximation factor.
+class ClaimedFactorOracle final : public MatchingOracle {
+ public:
+  explicit ClaimedFactorOracle(double c) : c_(c) {}
+  [[nodiscard]] double approx_factor() const override { return c_; }
+
+ protected:
+  OracleMatching find_impl(const OracleGraph& h) override {
+    return greedy_oracle_matching(h);
+  }
+
+ private:
+  double c_;
+};
+
+TEST(Framework, RejectsApproxFactorsItCannotUse) {
+  // The oracle schedules used to cast 2c and 22c ln(1/eps) to int64
+  // unchecked: an infinite or NaN factor read back as a bound of 1, and 0.5
+  // ran without complaint.
+  const Graph g = gen_odd_cycles(3, 5);
+  for (const double c : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 0.5}) {
+    for (const IterationMode mode :
+         {IterationMode::kUntilEmpty, IterationMode::kPaperBound}) {
+      CoreConfig cfg;
+      cfg.iteration_mode = mode;
+      ClaimedFactorOracle oracle(c);
+      EXPECT_THROW((void)boost_matching(g, oracle, cfg), std::invalid_argument)
+          << "c=" << c;
+      EXPECT_THROW((void)framework_initial_matching(g, oracle, cfg),
+                   std::invalid_argument)
+          << "c=" << c;
+      EXPECT_THROW((void)FrameworkDriver(g, oracle, cfg), std::invalid_argument)
+          << "c=" << c;
+    }
+  }
+  // Any finite factor >= 1 is usable; a huge one saturates the schedules.
+  for (const double c : {1.0, 1e300}) {
+    CoreConfig cfg;
+    cfg.iteration_mode = IterationMode::kPaperBound;
+    ClaimedFactorOracle oracle(c);
+    const BoostResult r = boost_matching(g, oracle, cfg);
+    EXPECT_TRUE(r.matching.is_valid_in(g));
+    EXPECT_GE(static_cast<double>(r.matching.size()) * (1.0 + cfg.eps),
+              static_cast<double>(maximum_matching_size(g)))
+        << "c=" << c;
+  }
+}
 
 TEST(Framework, OutOfRangeOracleAnswerIsNotAnotherEdge) {
   // Free vertices 0 and 1, matched pairs 2-3 and 4-5. Stage 0's H'_s has the

@@ -42,6 +42,22 @@ TEST(CoreConfig, ScheduledCountsMatchPaperFormulas) {
   EXPECT_EQ(cfg.scheduled_iterations(2.0), 61);
 }
 
+TEST(CoreConfig, OracleSchedulesSaturate) {
+  // 22 * 1e300 * ln 4 and 2 * 1e300 exceed INT64_MAX; the casts used to be
+  // unchecked (UBSan: "outside the range of representable values"). The
+  // factor is read through a volatile: GCC folds an out-of-range constant
+  // conversion to the saturated value, which hides an unchecked cast in an
+  // optimized build.
+  const volatile double huge = 1e300;
+  CoreConfig cfg;
+  EXPECT_EQ(cfg.scheduled_iterations(huge), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(CoreConfig::initial_matching_calls(huge),
+            std::numeric_limits<std::int64_t>::max());
+  // Lemma 5.3's floor(2c) + 1 calls.
+  EXPECT_EQ(CoreConfig::initial_matching_calls(2.0), 5);
+  EXPECT_EQ(CoreConfig::initial_matching_calls(1.3), 3);
+}
+
 TEST(CoreConfig, LastScaleIsEpsSquaredOver64) {
   CoreConfig cfg;
   cfg.eps = 0.5;
@@ -148,10 +164,15 @@ TEST(PhaseEngine, RejectsOutOfRangeEps) {
     EXPECT_THROW((void)PhaseEngine(g, cfg).run(m, driver), std::invalid_argument)
         << "eps=" << eps;
   }
-  CoreConfig cfg;
-  cfg.eps = std::nan("");
-  GreedyMatchingOracle oracle;
-  EXPECT_THROW((void)boost_matching(g, oracle, cfg), std::invalid_argument);
+  // boost_matching builds its driver, whose oracle schedule reads eps, before
+  // the engine rejects it: ln(1/eps) is NaN or -inf there.
+  for (const double eps : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    CoreConfig cfg;
+    cfg.eps = eps;
+    GreedyMatchingOracle oracle;
+    EXPECT_THROW((void)boost_matching(g, oracle, cfg), std::invalid_argument)
+        << "eps=" << eps;
+  }
 }
 
 TEST(PhaseEngine, RejectsEpsTooSmallForAnIntLabelBound) {
