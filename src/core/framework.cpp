@@ -82,8 +82,6 @@ void FrameworkDriver::extend_active_path(StructureForest& forest) {
 
 void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
   ++stats_.stage_loops;
-  const Matching& m = forest.matching();
-  const BlossomArena& arena = forest.arena();
 
   std::int64_t iterations = 0;
   for (;;) {
@@ -92,12 +90,11 @@ void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
     // on hold nor already extended this pass-bundle; right nodes are
     // inner/unvisited matched vertices x with label(x) > level + 1. Left ids
     // follow structure-id order, right ids first-encounter order. A left
-    // node's arcs are handled together, so a (left, right) pair repeats iff
-    // its right node is stamped with the current left id; the first witness
-    // is kept. The sweep reads the forest's live adjacency, which has dropped
-    // only neighbours the tests below reject (structures.hpp).
-    OracleGraph h;
-    std::vector<std::pair<Vertex, Vertex>> witness;  // (w, x) per H-edge
+    // node's arcs come from its working blossom's right-node list
+    // (structures.hpp), which holds each candidate x once with its first
+    // witness and its arc count, in the order a walk of the blossom's live
+    // lists meets them; only the label test is left to make.
+    witness_.clear();
     left_level_.clear();
     left_edges_.assign(1, 0);
     for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
@@ -106,52 +103,45 @@ void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
         continue;
       const int level = forest.outer_level(si.working);
       if (stage >= 0 && level != stage) continue;
-      arcs_.clear();
-      arena.for_each_vertex(si.working, [&](Vertex w) {
-        for (Vertex x : forest.live_neighbors(w)) {
-          if (forest.is_removed(x) || m.mate(x) == kNoVertex) continue;
-          if (m.mate(w) == x) continue;  // g must be unmatched
-          if (!forest.is_unvisited(x) && !forest.is_inner(x)) continue;
-          if (forest.label(x) <= level + 1) continue;
-          arcs_.emplace_back(w, x);
-        }
-      });
-      if (arcs_.empty()) continue;
-      stats_.sweep_arcs += static_cast<std::int64_t>(arcs_.size());
-      const auto li = static_cast<std::int32_t>(left_level_.size());
-      left_level_.push_back(level);
-      for (const auto& [w, x] : arcs_) {
-        std::int32_t& ri = right_id_[static_cast<std::size_t>(x)];
-        if (ri < 0) {
-          ri = static_cast<std::int32_t>(right_vertex_.size());
-          right_vertex_.push_back(x);
-          right_last_left_.push_back(-1);
-        }
-        std::int32_t& stamp = right_last_left_[static_cast<std::size_t>(ri)];
-        if (stamp == li) continue;
-        stamp = li;
-        h.edges.emplace_back(li, ri);
-        witness.emplace_back(w, x);
+      const std::span<const RightNode> list = forest.read_right_nodes(si.working);
+      const std::size_t first = witness_.size();
+      witness_.resize(first + list.size());
+      std::pair<Vertex, Vertex>* out = witness_.data() + first;
+      std::int64_t arcs = 0;
+      for (const RightNode& e : list) {
+        if (forest.label(e.x) <= level + 1) continue;
+        arcs += e.count;
+        *out++ = {e.w, e.x};
       }
-      left_edges_.push_back(h.edges.size());
+      witness_.resize(static_cast<std::size_t>(out - witness_.data()));
+      if (arcs == 0) continue;
+      stats_.sweep_arcs += arcs;
+      left_level_.push_back(level);
+      left_edges_.push_back(witness_.size());
     }
     ++stats_.sweep_rounds;
-    const auto nleft = static_cast<std::int32_t>(left_level_.size());
-    const auto nright = static_cast<std::int32_t>(right_vertex_.size());
-    for (const Vertex x : right_vertex_) right_id_[static_cast<std::size_t>(x)] = -1;
-    right_vertex_.clear();
-    right_last_left_.clear();
-    if (h.edges.empty()) break;
+    if (witness_.empty()) break;
 
     // Right ids follow the left ids in H'_s.
-    h.n = nleft + nright;
-    for (auto& e : h.edges) e.second += nleft;
+    const auto nleft = static_cast<std::int32_t>(left_level_.size());
+    std::int32_t nright = 0;
+    h_.edges.resize(witness_.size());
+    for (std::int32_t l = 0; l < nleft; ++l) {
+      const std::size_t end = left_edges_[static_cast<std::size_t>(l) + 1];
+      for (std::size_t e = left_edges_[static_cast<std::size_t>(l)]; e < end; ++e) {
+        std::int32_t& ri = right_id_[static_cast<std::size_t>(witness_[e].second)];
+        if (ri < 0) ri = nright++;
+        h_.edges[e] = {l, nleft + ri};
+      }
+    }
+    for (const auto& [w, x] : witness_) right_id_[static_cast<std::size_t>(x)] = -1;
+    h_.n = nleft + nright;
 
-    const OracleMatching found = oracle_.find_matching(h);
+    const OracleMatching found = oracle_.find_matching(h_);
     ++stats_.stage_iterations;
     ++iterations;
     if (observer_)
-      observer_({stage, h.n, static_cast<std::int64_t>(h.edges.size()),
+      observer_({stage, h_.n, static_cast<std::int64_t>(h_.edges.size()),
                  static_cast<std::int64_t>(found.size())});
 
     // Map matched H-edges back to witness arcs and perform Overtake on each
@@ -162,12 +152,12 @@ void FrameworkDriver::run_stage(StructureForest& forest, int stage) {
     for (const auto& [a, b] : found) {
       const std::int32_t l = std::min(a, b);
       const std::int32_t r = std::max(a, b);
-      if (l < 0 || l >= nleft || r < nleft || r >= h.n) continue;
+      if (l < 0 || l >= nleft || r < nleft || r >= h_.n) continue;
       std::size_t e = left_edges_[static_cast<std::size_t>(l)];
       const std::size_t end = left_edges_[static_cast<std::size_t>(l) + 1];
-      while (e < end && h.edges[e].second != r) ++e;
+      while (e < end && h_.edges[e].second != r) ++e;
       if (e == end) continue;  // oracle returned a non-edge
-      const auto [w, x] = witness[e];
+      const auto [w, x] = witness_[e];
       const int k = left_level_[static_cast<std::size_t>(l)] + 1;
       if (forest.can_overtake(w, x, k)) {
         forest.overtake(w, x, k);
@@ -316,19 +306,26 @@ void FrameworkDriver::contract_and_augment(StructureForest& forest) {
 
 Matching framework_initial_matching(const Graph& g, MatchingOracle& oracle,
                                     const CoreConfig& cfg) {
-  Matching m(g.num_vertices());
+  const Vertex n = g.num_vertices();
+  Matching m(n);
   const std::int64_t bound =
       CoreConfig::initial_matching_calls(checked_approx_factor(oracle));
   for (std::int64_t i = 0;; ++i) {
     OracleGraph h;
-    h.n = g.num_vertices();
+    h.n = n;
     for (const Edge& e : g.edges())
       if (m.is_free(e.u) && m.is_free(e.v)) h.edges.emplace_back(e.u, e.v);
     if (h.edges.empty()) break;
-    const OracleMatching found = oracle.find_matching(h);
-    if (found.empty()) break;
-    for (const auto& [u, v] : found)
-      if (m.is_free(u) && m.is_free(v)) m.add(u, v);
+    // Only a pair that is an edge of h can join the matching. An answer that
+    // applies none is out of contract, and asking again would repeat it.
+    std::int64_t applied = 0;
+    for (const auto& [u, v] : oracle.find_matching(h)) {
+      if (u < 0 || v < 0 || u >= n || v >= n || u == v) continue;
+      if (!m.is_free(u) || !m.is_free(v) || !g.has_edge(u, v)) continue;
+      m.add(u, v);
+      ++applied;
+    }
+    if (applied == 0) break;
     if (cfg.iteration_mode == IterationMode::kPaperBound && i + 1 >= bound) break;
   }
   return m;

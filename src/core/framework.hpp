@@ -18,11 +18,16 @@
 /// serial sweep over the live structures in structure-id order. Two cases
 /// build nothing: a stage below the forest's next eligible level, and an H'
 /// sweep whose outer log holds no H' arc (structures.hpp); each still counts
-/// its one empty sweep. The H'_s sweep reads the forest's live adjacency
-/// (structures.hpp) instead of g: the lists keep g's order and drop only
-/// neighbours that cannot be the right end of an H'_s arc again in the phase,
-/// so the sweep finds the same arcs, witnesses and oracle input. Local
-/// contractions and the H' sweep look for outer neighbours, so they read g.
+/// its one empty sweep. The H'_s sweep walks no blossom: it reads each left
+/// node's right-node list (structures.hpp), which the forest carries from one
+/// pass-bundle to the next and keeps equal to a walk of the working blossom's
+/// run over its live adjacency, less the neighbours that cannot be the right
+/// end of an H'_s arc again in the phase. Within a phase, whether a live
+/// neighbour x of the blossom is a right node depends only on x and the
+/// blossom's level, so the sweep's one test per entry, label(x) > level + 1,
+/// gives the walk's edges in the walk's order, with its first witnesses and
+/// its arc count. Local contractions and the H' sweep look for outer
+/// neighbours, so they read g.
 /// The Theorem 6.2 rebuild inside the dynamic matcher runs its exhaustion
 /// sweeps through this driver.
 
@@ -96,14 +101,11 @@ class FrameworkDriver final : public PassBundleDriver {
   FrameworkStats stats_;
   IterationObserver observer_;
 
-  // Scratch reused across sweep iterations, O(n) each. H'_s right ids are
-  // vertex-indexed; the touched list `right_vertex_` (right id -> vertex)
-  // resets them after every iteration.
-  std::vector<std::pair<Vertex, Vertex>> arcs_;  ///< one left node's (w, x) arcs
-  std::vector<std::int32_t> right_id_;         ///< vertex -> right id, or -1
-  std::vector<Vertex> right_vertex_;           ///< right id -> vertex
-  std::vector<std::int32_t> right_last_left_;  ///< right id -> last left id
-  std::vector<int> left_level_;                ///< left id -> overtaker level
+  // H'_s and its scratch, reused across sweep iterations, O(n + m) each.
+  OracleGraph h_;
+  std::vector<std::pair<Vertex, Vertex>> witness_;  ///< H'_s edge -> (w, x)
+  std::vector<std::int32_t> right_id_;  ///< vertex -> right id, or -1
+  std::vector<int> left_level_;         ///< left id -> overtaker level
   /// Left id l owns the H'_s edges [left_edges_[l], left_edges_[l + 1]).
   std::vector<std::size_t> left_edges_;
 };

@@ -30,6 +30,14 @@ void StructureForest::init_phase() {
   outer_log_.clear();
   logged_.assign(static_cast<std::size_t>(n), 0);
   clean_.assign(static_cast<std::size_t>(n), 0);
+  gone_.assign(static_cast<std::size_t>(n), 0);
+  list_of_.assign(static_cast<std::size_t>(n), kNoList);
+  lists_.clear();
+  free_lists_.clear();
+  merge_.clear();
+  stamp_.assign(static_cast<std::size_t>(n), 0);
+  slot_.resize(static_cast<std::size_t>(n));
+  build_stamp_ = 0;
   totals_ = OpCounts{};
   bundle_ops_ = 0;
   hold_seen_ = false;
@@ -99,6 +107,7 @@ void StructureForest::note_outer(Vertex x) {
     outer_log_.push_back(x);
   }
   clean_[xi] = 0;
+  gone_[xi] = 1;
   for (Vertex y : g_.neighbors(x)) {
     clean_[static_cast<std::size_t>(y)] = 0;
     live_dirty_[static_cast<std::size_t>(y)] = 1;
@@ -108,12 +117,102 @@ void StructureForest::note_outer(Vertex x) {
 void StructureForest::compact_live(Vertex w) {
   const auto wi = static_cast<std::size_t>(w);
   const auto first = live_.begin() + static_cast<std::ptrdiff_t>(live_begin_[wi]);
-  // Outer and removed are the two states a vertex never leaves in a phase.
   const auto last = std::remove_if(first, first + live_len_[wi], [&](Vertex x) {
-    return !is_unvisited(x) && !is_inner(x);
+    return gone_[static_cast<std::size_t>(x)] != 0;
   });
   live_len_[wi] = static_cast<std::int32_t>(last - first);
   live_dirty_[wi] = 0;
+}
+
+std::span<const RightNode> StructureForest::read_right_nodes(BlossomId b) {
+  BMF_ASSERT(arena_.node(b).parent == kNoBlossom);
+  std::int32_t slot = list_of_[static_cast<std::size_t>(b)];
+  if (slot < 0) slot = build_right_nodes(b);
+  std::vector<RightNode>& list = lists_[static_cast<std::size_t>(slot)];
+  // A build leaves the entries of b's later parts in `merge_`, each x
+  // stamped with its index there. This pass folds those whose x the list
+  // already holds into that entry; the rest are appended after it.
+  const bool merging = !merge_.empty();
+  const std::uint8_t* gone = gone_.data();
+  RightNode* data = list.data();
+  const std::size_t size = list.size();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    RightNode e = data[i];
+    const auto xi = static_cast<std::size_t>(e.x);
+    if (gone[xi] != 0) continue;
+    if (merging && stamp_[xi] == build_stamp_) {
+      RightNode& later = merge_[static_cast<std::size_t>(slot_[xi])];
+      e.count += later.count;
+      later.count = 0;
+    }
+    data[kept++] = e;
+  }
+  list.resize(kept);
+  for (const RightNode& e : merge_)
+    if (e.count != 0) list.push_back(e);
+  merge_.clear();
+  return list;
+}
+
+std::int32_t StructureForest::build_right_nodes(BlossomId b) {
+  if (++build_stamp_ == 0) {
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    build_stamp_ = 1;
+  }
+  // Parts of b in blossom order: a part that holds a list or has none inside
+  // it is read whole; one with a list inside it is split into its children.
+  std::int32_t slot = kNoList;
+  build_stack_.assign(1, b);
+  while (!build_stack_.empty()) {
+    const BlossomId c = build_stack_.back();
+    build_stack_.pop_back();
+    std::int32_t& mark = list_of_[static_cast<std::size_t>(c)];
+    const std::int32_t part = mark;
+    mark = kNoList;
+    if (part == kListInside) {
+      const std::vector<BlossomId>& cycle = arena_.node(c).cycle;
+      build_stack_.insert(build_stack_.end(), cycle.rbegin(), cycle.rend());
+      continue;
+    }
+    if (slot == kNoList) {
+      if (part >= 0) {
+        slot = part;  // the first part's list becomes b's
+        continue;
+      }
+      if (free_lists_.empty()) {
+        slot = static_cast<std::int32_t>(lists_.size());
+        lists_.emplace_back();
+      } else {
+        slot = free_lists_.back();
+        free_lists_.pop_back();
+      }
+    }
+    if (part >= 0) {
+      std::vector<RightNode>& merged = lists_[static_cast<std::size_t>(part)];
+      for (const RightNode& e : merged) add_right_node(e.x, e.w, e.count);
+      merged.clear();
+      free_lists_.push_back(part);
+    } else {
+      arena_.for_each_vertex(c, [&](Vertex w) {
+        for (const Vertex x : live_neighbors(w)) add_right_node(x, w, 1);
+      });
+    }
+  }
+  list_of_[static_cast<std::size_t>(b)] = slot;
+  return slot;
+}
+
+void StructureForest::add_right_node(Vertex x, Vertex w, std::int32_t count) {
+  const auto xi = static_cast<std::size_t>(x);
+  if (gone_[xi] != 0) return;
+  if (stamp_[xi] == build_stamp_) {
+    merge_[static_cast<std::size_t>(slot_[xi])].count += count;
+    return;
+  }
+  stamp_[xi] = build_stamp_;
+  slot_[xi] = static_cast<std::int32_t>(merge_.size());
+  merge_.push_back({x, w, count});
 }
 
 void StructureForest::relabel_inner(StructureId s, Vertex v, int k) {
@@ -432,6 +531,11 @@ void StructureForest::contract(Vertex u, Vertex v) {
   // themselves on the cycle) before rewiring.
   if (lca_parent != kNoBlossom) detach_from_parent(lca);
   const BlossomId nb_id = arena_.make_composite(cycle, std::move(cycle_edges));
+  BMF_ASSERT(static_cast<std::size_t>(nb_id) == list_of_.size());
+  const bool list_inside = std::any_of(cycle.begin(), cycle.end(), [&](BlossomId c) {
+    return list_of_[static_cast<std::size_t>(c)] != kNoList;
+  });
+  list_of_.push_back(list_inside ? kListInside : kNoList);
   std::vector<BlossomId> hanging;
   for (BlossomId cb : arena_.node(nb_id).cycle) {
     for (BlossomId ch : arena_.node(cb).tree_children)
@@ -532,7 +636,10 @@ void StructureForest::augment(Vertex u, Vertex v) {
 
   for (StructureId s : {su, sv}) {
     StructureInfo& si = structures_[static_cast<std::size_t>(s)];
-    for (Vertex w : si.members) removed_[static_cast<std::size_t>(w)] = 1;
+    for (Vertex w : si.members) {
+      removed_[static_cast<std::size_t>(w)] = 1;
+      gone_[static_cast<std::size_t>(w)] = 1;
+    }
     si.removed = true;
     si.working = kNoBlossom;
   }
@@ -717,6 +824,67 @@ void StructureForest::check_invariants() const {
                      "live list dropped a neighbour that can still be an arc end");
     }
     BMF_ASSERT_MSG(i == len, "live list is not a subsequence of g's row");
+  }
+
+  // gone_ marks exactly the outer and removed vertices.
+  for (Vertex v = 0; v < n; ++v)
+    BMF_ASSERT_MSG(
+        (gone_[static_cast<std::size_t>(v)] != 0) == (is_outer(v) || is_removed(v)),
+        "gone byte differs from outer-or-removed");
+
+  // Right-node lists. Blossom ids grow with each composite, so a child's id
+  // is below its parent's: one pass finds, for each blossom, whether one
+  // inside it holds a list. Holders are disjoint, and a marker says kListInside
+  // exactly when a blossom inside holds one.
+  const BlossomId nb = arena_.num_blossoms();
+  BMF_ASSERT(static_cast<std::size_t>(nb) == list_of_.size());
+  BMF_ASSERT_MSG(merge_.empty(), "a build's later entries outlived its read");
+  std::vector<std::uint8_t> inside(static_cast<std::size_t>(nb), 0);
+  for (BlossomId b = 0; b < nb; ++b) {
+    for (const BlossomId c : arena_.node(b).cycle)
+      if (holds_right_nodes(c) || inside[static_cast<std::size_t>(c)] != 0)
+        inside[static_cast<std::size_t>(b)] = 1;
+    const std::int32_t held = list_of_[static_cast<std::size_t>(b)];
+    const bool has_inside = inside[static_cast<std::size_t>(b)] != 0;
+    if (held >= 0)
+      BMF_ASSERT_MSG(!has_inside, "a right-node list inside a blossom that holds one");
+    else
+      BMF_ASSERT_MSG((held == kListInside) == has_inside,
+                     "right-node list marker differs from the lists inside");
+  }
+  // Each list, less its gone entries, is the walk of its blossom's run over
+  // g less the mates and the gone vertices: each x once, in first-met order,
+  // with its first witness and its count. No entry holds a free x or the
+  // mate of its witness.
+  std::vector<std::int32_t> at(static_cast<std::size_t>(n), -1);
+  std::vector<RightNode> walk;
+  for (BlossomId b = 0; b < nb; ++b) {
+    const std::int32_t held = list_of_[static_cast<std::size_t>(b)];
+    if (held < 0) continue;
+    walk.clear();
+    for (const Vertex w : arena_.vertices(b)) {
+      for (const Vertex x : g_.neighbors(w)) {
+        if (x == m_.mate(w) || gone_[static_cast<std::size_t>(x)] != 0) continue;
+        std::int32_t& i = at[static_cast<std::size_t>(x)];
+        if (i < 0) {
+          i = static_cast<std::int32_t>(walk.size());
+          walk.push_back({x, w, 0});
+        }
+        ++walk[static_cast<std::size_t>(i)].count;
+      }
+    }
+    std::size_t k = 0;
+    for (const RightNode& e : lists_[static_cast<std::size_t>(held)]) {
+      BMF_ASSERT_MSG(!m_.is_free(e.x), "right-node list holds a free vertex");
+      BMF_ASSERT_MSG(m_.mate(e.w) != e.x, "right-node list holds its witness's mate");
+      if (gone_[static_cast<std::size_t>(e.x)] != 0) continue;
+      BMF_ASSERT_MSG(k < walk.size() && walk[k].x == e.x && walk[k].w == e.w &&
+                         walk[k].count == e.count,
+                     "right-node list differs from a walk of its blossom");
+      ++k;
+    }
+    BMF_ASSERT_MSG(k == walk.size(), "right-node list misses a neighbour");
+    for (const RightNode& e : walk) at[static_cast<std::size_t>(e.x)] = -1;
   }
 }
 

@@ -11,7 +11,7 @@
 /// phase engine after the phase ends (Algorithm 1 line 6). The matching is
 /// read-only during a phase.
 ///
-/// Four pieces of per-phase state let the drivers' sweeps skip what has not
+/// Five pieces of per-phase state let the drivers' sweeps skip what has not
 /// changed since they last looked. Three are kept by one private hook,
 /// `note_outer(x)`, which runs wherever a vertex becomes outer (a root at
 /// `init_phase`, Overtake case 1's new outer vertex, an inner cycle member a
@@ -41,6 +41,28 @@
 ///    carry each label. An in-structure overtake at stage s needs an inner
 ///    member with label > s + 1 (P3), so a structure whose counts show none
 ///    has no such arc and its sweep can be skipped.
+/// The fifth is made by the H'_s sweeps that read it (`read_right_nodes`):
+///  * right-node lists: for a root blossom B that a sweep has read, one entry
+///    per neighbour x of B that was unvisited or inner when it was added,
+///    holding x, the first vertex w of B's run whose live list holds x, and
+///    how many of B's vertices hold x in their live lists, in the order a
+///    walk of B's run over the live lists first meets x. A list stays exact
+///    less the entries whose x has since become outer or removed, which each
+///    read drops for good: live lists hold no mate, so whether w's live list
+///    holds x depends, within a phase, only on whether x is outer or removed,
+///    and those two states are never left; and a root blossom's run never
+///    changes. A composite's run is its cycle children's runs in cycle
+///    order, so its first read takes over the list of its first part in that
+///    order (A_0, or A_0's own first part) if that part holds one, and
+///    appends the entries of the rest of its run, adding the count of an x
+///    it already holds and keeping its first witness; a part with no list
+///    inside it is walked instead. Each merged
+///    child's list is recycled, so the blossoms holding lists are disjoint
+///    and at most 2m entries are live in a phase. The entries keep no label
+///    test: labels fall, and a blossom's level can fall too (Overtake case
+///    2.1 relabels its inner parent), so readers test label(x) against the
+///    level at read time, and an entry hidden at one read can show at the
+///    next.
 
 #include <algorithm>
 #include <cstdint>
@@ -64,6 +86,13 @@ struct StructureInfo {
   bool removed = false;
   std::int64_t size = 0;          ///< number of G-vertices
   std::vector<Vertex> members;
+};
+
+/// An entry of a root blossom's right-node list (see the file comment).
+struct RightNode {
+  Vertex x = kNoVertex;    ///< a neighbour of the blossom
+  Vertex w = kNoVertex;    ///< the first vertex of its run whose live list holds x
+  std::int32_t count = 0;  ///< the vertices of the blossom whose live lists hold x
 };
 
 /// Operation counters, used both for instrumentation and for pass-bundle
@@ -179,6 +208,17 @@ class StructureForest {
     return {live_.data() + live_begin_[wi], static_cast<std::size_t>(live_len_[wi])};
   }
 
+  /// Reads root blossom b's right-node list: drops for good the entries whose
+  /// x is now outer or removed and returns the rest, in order; builds the
+  /// list on b's first read. The span stays valid until the next call or
+  /// `init_phase`.
+  [[nodiscard]] std::span<const RightNode> read_right_nodes(BlossomId b);
+  /// b holds a right-node list: a read made one and no read of a composite
+  /// containing b has merged it since.
+  [[nodiscard]] bool holds_right_nodes(BlossomId b) const {
+    return list_of_[static_cast<std::size_t>(b)] >= 0;
+  }
+
   /// Inner members of live structure s with label l. Labels of
   /// kLabelBuckets - 1 and above share the last count, so that an l_max of
   /// up to 2^31 costs at most kLabelBuckets counts per structure.
@@ -235,6 +275,15 @@ class StructureForest {
   /// Drops the outer and removed vertices from w's live list, keeping the
   /// order of the rest, and clears w's dirty byte.
   void compact_live(Vertex w);
+  /// Gives root blossom b, which holds no right-node list, the list of its
+  /// first part in blossom order if that part holds one, or else a new empty
+  /// one, and leaves the entries of the rest of its run in `merge_` for the
+  /// read to fold in. A later part that holds a list gives its entries and is
+  /// recycled; a part with no list inside it is walked over its vertices'
+  /// live lists. Returns the list's slot.
+  std::int32_t build_right_nodes(BlossomId b);
+  /// Adds (x, w, count) to `merge_`, folding it into an x met before.
+  void add_right_node(Vertex x, Vertex w, std::int32_t count);
   [[nodiscard]] std::size_t count_index(StructureId s, int l) const {
     return static_cast<std::size_t>(s) * static_cast<std::size_t>(buckets_) +
            static_cast<std::size_t>(std::min(l, buckets_ - 1));
@@ -274,6 +323,24 @@ class StructureForest {
   std::vector<std::uint8_t> live_dirty_;
   /// Inner-label counts, buckets_ per structure in structure-id order.
   std::vector<std::int32_t> inner_count_;
+  /// gone_[x]: x is outer or removed, the two states it never leaves in a
+  /// phase. Set by `note_outer` and `augment`.
+  std::vector<std::uint8_t> gone_;
+  /// Right-node lists: list_of_[b] is the slot in lists_ of blossom b's list,
+  /// kNoList if neither b nor a blossom inside it holds one, or kListInside
+  /// if one inside it does. Slots of merged lists wait in free_lists_.
+  static constexpr std::int32_t kNoList = -1;
+  static constexpr std::int32_t kListInside = -2;
+  std::vector<std::int32_t> list_of_;
+  std::vector<std::vector<RightNode>> lists_;
+  std::vector<std::int32_t> free_lists_;
+  /// A build's later entries, and their index: merge_[slot_[x]] holds x while
+  /// stamp_[x] == build_stamp_.
+  std::vector<RightNode> merge_;
+  std::vector<std::uint32_t> stamp_;
+  std::vector<std::int32_t> slot_;
+  std::uint32_t build_stamp_ = 0;
+  std::vector<BlossomId> build_stack_;
 
   OpCounts totals_;
   std::int64_t bundle_ops_ = 0;

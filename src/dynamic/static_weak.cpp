@@ -237,10 +237,17 @@ Matching weak_initial_matching(Vertex n, WeakOracle& oracle,
     const std::vector<Vertex> free = m.free_vertices();
     if (free.size() < 2) break;
     const WeakQueryResult res = oracle.query(free, cfg.delta);
-    if (res.matching.empty()) break;
     if (!cfg.strict && res.bottom) break;
-    for (const Edge& e : res.matching)
-      if (m.is_free(e.u) && m.is_free(e.v)) m.add(e.u, e.v);
+    // Only a pair of distinct free vertices can join the matching. An answer
+    // that applies none is out of contract, and asking again would repeat it.
+    std::int64_t applied = 0;
+    for (const Edge& e : res.matching) {
+      if (e.u < 0 || e.v < 0 || e.u >= n || e.v >= n || e.u == e.v) continue;
+      if (!m.is_free(e.u) || !m.is_free(e.v)) continue;
+      m.add(e.u, e.v);
+      ++applied;
+    }
+    if (applied == 0) break;
   }
   return m;
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/framework.hpp"
 #include "core/structures.hpp"
@@ -817,6 +820,231 @@ TEST(StructureForest, LabelsPastTheLastBucketShareIt) {
   EXPECT_TRUE(f.has_inner_above(s0, StructureForest::kLabelBuckets - 2));
   EXPECT_TRUE(f.has_inner_above(s0, 120));  // conservative: 100 < 120
   EXPECT_FALSE(f.has_inner_above(s4, 0));
+}
+
+// ---------------------------------------------------------------------------
+// Right-node lists: one test per event that changes what a list must hold.
+// Each check_invariants call also checks every list against a walk of its
+// blossom's run.
+// ---------------------------------------------------------------------------
+
+/// (x, first witness, count) of each entry, as a sweep reads them.
+using Entry = std::tuple<Vertex, Vertex, std::int32_t>;
+std::vector<Entry> right_nodes(StructureForest& f, BlossomId b) {
+  std::vector<Entry> out;
+  for (const RightNode& e : f.read_right_nodes(b)) out.emplace_back(e.x, e.w, e.count);
+  return out;
+}
+
+/// Records the size of each graph it is handed and matches nothing, so a
+/// sweep run through it shows H'_s and changes no structure.
+class NullOracle final : public MatchingOracle {
+ public:
+  [[nodiscard]] double approx_factor() const override { return 2.0; }
+  std::vector<std::pair<std::int32_t, std::size_t>> seen;  ///< (n, edges)
+
+ protected:
+  OracleMatching find_impl(const OracleGraph& h) override {
+    seen.emplace_back(h.n, h.edges.size());
+    return {};
+  }
+};
+
+TEST(StructureForest, OvertakeCase1NewOuterLeavesEveryList) {
+  // Roots 0 and 5 both see the matched pair 1 = 2, and 2 sees 3 = 4.
+  // Overtaking (0, 1) makes 2 outer: it leaves both roots' lists, 1 stays in
+  // both as an inner vertex, and 2's own list holds the unvisited 3.
+  const Graph g = make_graph(
+      6, std::vector<Edge>{{0, 1}, {0, 2}, {5, 1}, {5, 2}, {1, 2}, {2, 3}, {3, 4}});
+  Matching m(6);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  EXPECT_EQ(right_nodes(f, f.omega(0)), (std::vector<Entry>{{1, 0, 1}, {2, 0, 1}}));
+  EXPECT_EQ(right_nodes(f, f.omega(5)), (std::vector<Entry>{{1, 5, 1}, {2, 5, 1}}));
+  f.check_invariants();
+
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.check_invariants();  // both lists still hold 2 until their next read
+  EXPECT_EQ(right_nodes(f, f.omega(0)), (std::vector<Entry>{{1, 0, 1}}));
+  EXPECT_EQ(right_nodes(f, f.omega(5)), (std::vector<Entry>{{1, 5, 1}}));
+  EXPECT_EQ(right_nodes(f, f.omega(2)), (std::vector<Entry>{{3, 2, 1}}));
+  f.check_invariants();
+}
+
+TEST(StructureForest, ListsKeepLabelFilteredEntriesAcrossCase21Relabels) {
+  // One structure rooted at 0 with two branches: 0 - 1 = 2 - ... - 9 = 10,
+  // where the shortcut 4 - 9 relabels 9 from 5 to 3, and 0 - 11 = 12 - 13 =
+  // 14 - 15 = 16, whose tip B = Omega(16) sees 9. At B's level 3, label 3 is
+  // not above 3 + 1, so the sweep hides 9; the shortcut 0 - 15 then relabels
+  // B's inner parent 15 to 1, and at level 1 the sweep shows 9 again from
+  // the same list.
+  const Graph g = make_graph(
+      17, std::vector<Edge>{{0, 1},   {1, 2},   {2, 3},   {3, 4},   {4, 5},
+                            {5, 6},   {6, 7},   {7, 8},   {8, 9},   {9, 10},
+                            {4, 9},   {0, 11},  {11, 12}, {12, 13}, {13, 14},
+                            {14, 15}, {15, 16}, {16, 9},  {0, 15}});
+  Matching m(17);
+  for (Vertex v = 1; v < 17; v += 2) m.add(v, v + 1);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  const auto overtake = [&](Vertex u, Vertex v, int k) {
+    f.begin_pass_bundle(1000);
+    ASSERT_TRUE(f.can_overtake(u, v, k)) << u << " " << v;
+    f.overtake(u, v, k);
+  };
+  const auto backtrack = [&](int times) {
+    for (int i = 0; i < times; ++i) {
+      f.begin_pass_bundle(1000);
+      f.backtrack_stuck();
+    }
+  };
+  for (Vertex u = 0; u < 10; u += 2) overtake(u, u + 1, u / 2 + 1);
+  ASSERT_EQ(f.label(9), 5);
+  backtrack(3);
+  ASSERT_EQ(f.structure(0).working, f.omega(4));
+  overtake(4, 9, 3);  // case 2.1
+  ASSERT_EQ(f.label(9), 3);
+  backtrack(3);
+  overtake(0, 11, 1);
+  overtake(12, 13, 2);
+  overtake(14, 15, 3);
+  const BlossomId b = f.omega(16);
+  ASSERT_EQ(f.structure(0).working, b);
+  ASSERT_EQ(f.outer_level(b), 3);
+  f.check_invariants();
+
+  NullOracle oracle;
+  FrameworkDriver driver(g, oracle, cfg);
+  f.begin_pass_bundle(1000);
+  driver.extend_active_path(f);
+  EXPECT_TRUE(oracle.seen.empty());  // H'_s has no edge: 9 is hidden
+  EXPECT_EQ(right_nodes(f, b), (std::vector<Entry>{{9, 16, 1}}));
+  f.check_invariants();
+
+  backtrack(3);
+  ASSERT_EQ(f.structure(0).working, f.omega(0));
+  overtake(0, 15, 1);  // case 2.1 on B's inner parent
+  ASSERT_EQ(f.structure(0).working, b);
+  ASSERT_EQ(f.outer_level(b), 1);
+  f.begin_pass_bundle(1000);
+  driver.extend_active_path(f);
+  // One left node (B) and one right node (9).
+  EXPECT_EQ(oracle.seen, (std::vector<std::pair<std::int32_t, std::size_t>>{{2, 1}}));
+  EXPECT_EQ(right_nodes(f, b), (std::vector<Entry>{{9, 16, 1}}));
+  f.check_invariants();
+}
+
+TEST(StructureForest, StolenBlossomKeepsItsList) {
+  // The steal of StealKeepsTheMovedOuterVerticesOut: S_beta's working
+  // Omega(2), whose list holds the unvisited 7, moves to S_alpha with it.
+  const Graph g = make_graph(
+      11, std::vector<Edge>{{10, 5}, {5, 6}, {6, 1}, {1, 2}, {0, 1}, {2, 7}, {7, 8}});
+  Matching m(11);
+  m.add(5, 6);
+  m.add(1, 2);
+  m.add(7, 8);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.begin_pass_bundle(1000);
+  f.overtake(10, 5, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(6, 1, 2);
+  const BlossomId b = f.omega(2);
+  EXPECT_EQ(right_nodes(f, b), (std::vector<Entry>{{7, 2, 1}}));
+
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);  // case 2.2
+  ASSERT_EQ(f.totals().overtake_steal, 1);
+  ASSERT_EQ(f.structure(f.structure_of(0)).working, b);
+  EXPECT_TRUE(f.holds_right_nodes(b));
+  f.check_invariants();
+  EXPECT_EQ(right_nodes(f, b), (std::vector<Entry>{{7, 2, 1}}));
+  f.check_invariants();
+}
+
+/// The 5-cycle 0 - 1 = 2 - 3 = 4 - 0 with the matched pairs 5 = 6 (seen by 0
+/// and 4) and 7 = 8 (seen by 2 and 4); the blossom's run is 0, 1, 2, 3, 4.
+Graph cycle_with_pairs(Matching& m) {
+  m.add(1, 2);
+  m.add(3, 4);
+  m.add(5, 6);
+  m.add(7, 8);
+  return make_graph(9, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 5},
+                                         {4, 5}, {2, 7}, {4, 7}, {5, 6}, {7, 8}});
+}
+
+TEST(StructureForest, ContractionMovesAZerosListAndAppendsTheRest) {
+  // A_0 = Omega(0) holds a list from the first sweep: the blossom takes it,
+  // drops the now-outer 1 and 4, adds 4's arc to 5 and appends 7.
+  Matching m(9);
+  const Graph g = cycle_with_pairs(m);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  EXPECT_EQ(right_nodes(f, f.omega(0)),
+            (std::vector<Entry>{{1, 0, 1}, {4, 0, 1}, {5, 0, 1}}));
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  f.begin_pass_bundle(1000);
+  f.contract(4, 0);
+  const BlossomId b = f.omega(0);
+  EXPECT_TRUE(f.holds_right_nodes(BlossomArena::trivial(0)));
+  f.check_invariants();
+  EXPECT_EQ(right_nodes(f, b), (std::vector<Entry>{{5, 0, 2}, {7, 2, 2}}));
+  EXPECT_FALSE(f.holds_right_nodes(BlossomArena::trivial(0)));
+  f.check_invariants();
+}
+
+TEST(StructureForest, ContractionWithoutAZerosListWalksItAndMergesTheRest) {
+  // Only the cycle's last child, Omega(4), holds a list. The blossom walks
+  // 0 to 3 and merges 4's entries in: the first witnesses stay 0 and 2.
+  Matching m(9);
+  const Graph g = cycle_with_pairs(m);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  EXPECT_EQ(right_nodes(f, f.omega(4)), (std::vector<Entry>{{5, 4, 1}, {7, 4, 1}}));
+  f.begin_pass_bundle(1000);
+  f.contract(4, 0);
+  const BlossomId b = f.omega(0);
+  f.check_invariants();
+  EXPECT_EQ(right_nodes(f, b), (std::vector<Entry>{{5, 0, 2}, {7, 2, 2}}));
+  EXPECT_FALSE(f.holds_right_nodes(BlossomArena::trivial(4)));
+  f.check_invariants();
+}
+
+TEST(StructureForest, AugmentRemovesItsStructuresFromEveryList) {
+  // Root 5 sees 0's inner 1 and the unvisited 3 = 4; augmenting 0's
+  // structure with root 6's removes 1 from 5's list.
+  const Graph g = make_graph(
+      7, std::vector<Edge>{{0, 1}, {1, 2}, {2, 6}, {5, 1}, {5, 3}, {3, 4}});
+  Matching m(7);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  EXPECT_EQ(right_nodes(f, f.omega(5)), (std::vector<Entry>{{1, 5, 1}, {3, 5, 1}}));
+  ASSERT_TRUE(f.can_augment(2, 6));
+  f.augment(2, 6);
+  ASSERT_TRUE(f.is_removed(1));
+  f.check_invariants();
+  EXPECT_EQ(right_nodes(f, f.omega(5)), (std::vector<Entry>{{3, 5, 1}}));
+  f.check_invariants();
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "dynamic/static_weak.hpp"
 #include "matching/blossom_exact.hpp"
 #include "matching/greedy.hpp"
+#include "static_inputs.hpp"
 #include "workloads/gen.hpp"
 
 namespace bmf {
@@ -201,19 +202,7 @@ Graph cycles_and_chains(std::uint64_t seed) {
   return make_graph(n, edges);
 }
 
-/// G(601, 2404) with no isolated vertex, drawn like the static benchmark's
-/// inputs: the odd n leaves a free vertex, so the boost runs to its
-/// certificate, and working blossoms nest dozens of composites deep.
-Graph sparse_odd_random_graph(std::uint64_t seed) {
-  Rng rng(seed);
-  for (;;) {
-    Graph g = gen_random_graph(601, 2404, rng);
-    bool isolated = false;
-    for (Vertex v = 0; v < g.num_vertices(); ++v)
-      isolated = isolated || g.degree(v) == 0;
-    if (!isolated) return g;
-  }
-}
+using testinputs::sparse_odd_random_graph;
 
 TEST(Framework, ChangeTrackingInvariantsHoldThroughContractionsAndSteals) {
   // check_invariants runs StructureForest::check_invariants after every
@@ -337,22 +326,27 @@ TEST(Framework, OracleCallCountGrowsSlowlyInEps) {
   EXPECT_LT(calls_eighth, 200000);
 }
 
-/// Answers every call with the same pairs, whatever graph it is handed, and
-/// records the vertex count of each graph.
+/// Answers the first `cap` calls with the same pairs, whatever graph it is
+/// handed, and later calls with nothing; records the vertex count of each
+/// graph.
 class FixedAnswerOracle final : public MatchingOracle {
  public:
-  explicit FixedAnswerOracle(OracleMatching answer) : answer_(std::move(answer)) {}
+  explicit FixedAnswerOracle(OracleMatching answer,
+                             std::int64_t cap = kNoCap)
+      : answer_(std::move(answer)), cap_(cap) {}
+  static constexpr std::int64_t kNoCap = std::numeric_limits<std::int64_t>::max();
   [[nodiscard]] double approx_factor() const override { return 2.0; }
   std::vector<std::int32_t> graph_sizes;
 
  protected:
   OracleMatching find_impl(const OracleGraph& h) override {
     graph_sizes.push_back(h.n);
-    return answer_;
+    return calls() <= cap_ ? answer_ : OracleMatching{};
   }
 
  private:
   OracleMatching answer_;
+  std::int64_t cap_;
 };
 
 /// A greedy oracle that reports the given approximation factor.
@@ -427,6 +421,90 @@ TEST(Framework, OutOfRangeOracleAnswerIsNotAnotherEdge) {
   EXPECT_EQ(forest.structure_of(4), kNoStructure);
   EXPECT_EQ(forest.totals().total(), 0);
   EXPECT_EQ(driver.stats().truncated_loops, 1);
+}
+
+/// Calls the fake oracles below answer before they fall silent, so that an
+/// initial matching that keeps asking after an answer it cannot use ends.
+constexpr std::int64_t kAnswerCap = 8;
+
+/// (answer, matching size, oracle calls) for G = {0-1, 2-3, 4-5}.
+struct InitialCase {
+  std::vector<std::pair<Vertex, Vertex>> answer;
+  std::int64_t size;
+  std::int64_t calls;
+};
+
+Graph three_edges() {
+  return make_graph(6, std::vector<Edge>{{0, 1}, {2, 3}, {4, 5}});
+}
+
+TEST(Framework, InitialMatchingAppliesOnlyFreeEdgesOfTheGraph) {
+  // Each call gets the same answer: the non-edge (0, 5), or the edge (2, 3),
+  // which the first call matches. Only free edges of g join the matching,
+  // and the first answer that applies none ends the loop.
+  const Graph g = three_edges();
+  for (const InitialCase& c :
+       {InitialCase{{{0, 5}}, 0, 1}, InitialCase{{{2, 3}}, 1, 2}}) {
+    FixedAnswerOracle oracle(c.answer, kAnswerCap);
+    const Matching m = framework_initial_matching(g, oracle, CoreConfig{});
+    EXPECT_TRUE(m.is_valid_in(g)) << c.answer[0].first << " " << c.answer[0].second;
+    EXPECT_EQ(m.size(), c.size);
+    EXPECT_EQ(oracle.calls(), c.calls);
+  }
+}
+
+TEST(Framework, InitialMatchingSkipsPairsThatNameNoTwoVertices) {
+  // An id outside [0, n) was read out of bounds, and a pair (v, v) reached
+  // Matching::add.
+  const Graph g = three_edges();
+  for (const InitialCase& c : {InitialCase{{{0, 8}}, 0, 1},
+                               InitialCase{{{-1, 2}}, 0, 1},
+                               InitialCase{{{3, 3}}, 0, 1}}) {
+    FixedAnswerOracle oracle(c.answer, kAnswerCap);
+    const Matching m = framework_initial_matching(g, oracle, CoreConfig{});
+    EXPECT_EQ(m.size(), c.size);
+    EXPECT_EQ(oracle.calls(), c.calls);
+  }
+}
+
+/// Answers the first `cap` queries with the same pairs, whatever set it is
+/// asked about, and later queries with nothing.
+class FixedAnswerWeakOracle final : public WeakOracle {
+ public:
+  FixedAnswerWeakOracle(std::vector<Edge> answer, std::int64_t cap)
+      : answer_(std::move(answer)), cap_(cap) {}
+  [[nodiscard]] double lambda() const override { return 0.5; }
+  void on_insert(Vertex, Vertex) override {}
+  void on_erase(Vertex, Vertex) override {}
+
+ protected:
+  WeakQueryResult query_impl(std::span<const Vertex>, double) override {
+    return {calls() <= cap_ ? answer_ : std::vector<Edge>{}, false};
+  }
+  WeakQueryResult query_cover_impl(std::span<const Vertex>, std::span<const Vertex>,
+                                   double) override {
+    return {};
+  }
+
+ private:
+  std::vector<Edge> answer_;
+  std::int64_t cap_;
+};
+
+TEST(StaticWeak, InitialMatchingAppliesOnlyPairsOfFreeVertices) {
+  // The weak oracle answers on the free set: (2, 3) is matched by the first
+  // query and no longer free at the second; the others name no two vertices.
+  for (const InitialCase& c :
+       {InitialCase{{{2, 3}}, 1, 2}, InitialCase{{{0, 8}}, 0, 1},
+        InitialCase{{{-1, 2}}, 0, 1}, InitialCase{{{3, 3}}, 0, 1}}) {
+    std::vector<Edge> answer;
+    for (const auto& [u, v] : c.answer) answer.push_back({u, v});
+    FixedAnswerWeakOracle oracle(answer, kAnswerCap);
+    const Matching m = weak_initial_matching(6, oracle, WeakSimConfig{});
+    EXPECT_TRUE(m.is_valid_in(three_edges()));
+    EXPECT_EQ(m.size(), c.size);
+    EXPECT_EQ(oracle.calls(), c.calls);
+  }
 }
 
 /// Forwards to a driver and, after every Contract-and-Augment, counts the

@@ -22,9 +22,8 @@
 #include "core/framework.hpp"
 #include "dynamic/static_weak.hpp"
 #include "dynamic/weak_oracle.hpp"
+#include "static_inputs.hpp"
 #include "stream/streaming_matcher.hpp"
-#include "util/rng.hpp"
-#include "workloads/gen.hpp"
 
 namespace bmf {
 namespace {
@@ -41,42 +40,8 @@ std::uint64_t mates_digest(const Matching& m) {
   return h;
 }
 
-struct NamedGraph {
-  std::string name;
-  Graph g;
-};
-
-/// Odd cycles force contractions, chains force long augmenting paths, and
-/// sparse random graphs make structures compete for the same matched arcs,
-/// so Overtake case 2.2 steals occur too (35 of the 162 lines record one).
-std::vector<NamedGraph> golden_graphs() {
-  std::vector<NamedGraph> out;
-  out.push_back({"odd_cycles_9x7", gen_odd_cycles(9, 7)});
-  out.push_back({"chains_7x6", gen_adversarial_chains(7, 6)});
-  {
-    Rng rng(41);
-    out.push_back({"gnm_121x484", gen_random_graph(121, 484, rng)});
-  }
-  // Sparse G(n, m) leaves several free vertices after the initial matching,
-  // and these two seeds make structures steal from each other at every eps.
-  {
-    Rng rng(2);
-    out.push_back({"gnm_121x242", gen_random_graph(121, 242, rng)});
-  }
-  {
-    Rng rng(5);
-    out.push_back({"gnm_61x90", gen_random_graph(61, 90, rng)});
-  }
-  {
-    const Graph cycles = gen_odd_cycles(11, 9);
-    std::vector<Edge> edges(cycles.edges().begin(), cycles.edges().end());
-    Rng rng(43);
-    const Graph chords = gen_random_graph(cycles.num_vertices(), 60, rng);
-    edges.insert(edges.end(), chords.edges().begin(), chords.edges().end());
-    out.push_back({"cycles_chords_99", make_graph(cycles.num_vertices(), edges)});
-  }
-  return out;
-}
+using testinputs::golden_graphs;
+using testinputs::NamedGraph;
 
 std::string outcome_fields(const BoostOutcome& o) {
   char buf[320];
